@@ -1,17 +1,18 @@
 // Columnar vs row-at-a-time serving throughput.
 //
-// The columnar fast path (DESIGN.md §2b "Columnar serving path") evaluates
+// The columnar block scan (DESIGN.md §2b "Columnar serving path") evaluates
 // one subspace at a time over 1024-row blocks gathered straight from the
-// table's column storage, carrying a survivor bitmask between subspaces,
-// instead of materializing every row and looping subspaces per row. This
-// bench sweeps variant x threads x scan path over a full-table PredictRows
-// scan plus a bounded RetrieveMatches, reports throughput for all three
-// paths (row-at-a-time, columnar scalar, columnar SIMD) and their ratios,
-// and verifies the contracts as it goes: flipping between the row and
-// scalar columnar paths must never change a single output byte, and the
-// SIMD throughput mode must stay within statistical parity of the scalar
-// verdicts (mismatch fraction and match-set F1 within epsilon — only rows
-// whose probability sits exactly at the 0.5 threshold boundary may flip).
+// table's column storage, carrying the survivors between subspaces, instead
+// of materializing every row and looping subspaces per row. This bench
+// sweeps variant x threads over a full-table scan plus a bounded retrieval,
+// timing three paths — the row-at-a-time reference (`PredictRow` on every
+// row, one reused row buffer per lane), the scalar block scan, and the SIMD
+// block scan — and reports their throughput and ratios. It verifies the
+// contracts as it goes: the scalar block scan must never differ from the
+// row reference in a single output byte, and the SIMD throughput mode must
+// stay within statistical parity of the scalar verdicts (mismatch fraction
+// and match-set F1 within epsilon — only rows whose probability sits
+// exactly at the 0.5 threshold boundary may flip).
 //
 // Expected shape: columnar wins on every variant from the removed per-row
 // heap traffic, the row-tiled batch kernels, and the once-per-call folding
@@ -86,6 +87,39 @@ double MatchSetF1(const std::vector<int64_t>& ref,
   const double tp = static_cast<double>(both.size());
   const double denom = static_cast<double>(ref.size() + got.size());
   return denom == 0.0 ? 1.0 : 2.0 * tp / denom;
+}
+
+/// The row-at-a-time reference: `PredictRow` on every row of `table`, over
+/// contiguous lanes capped by `threads`, each lane refilling one full-width
+/// row buffer through the column views.
+void PredictRowByRow(const core::ExplorationSession& session,
+                     const data::Table& table, int64_t threads,
+                     std::vector<double>* out) {
+  std::vector<data::ColumnView> views;
+  for (int64_t a = 0; a < table.num_columns(); ++a) {
+    views.push_back(table.View(a));
+  }
+  out->assign(static_cast<size_t>(table.num_rows()), 0.0);
+  ThreadPool::Shared().ParallelForShards(
+      0, table.num_rows(), threads, [&](int64_t lo, int64_t hi) {
+        std::vector<double> row(views.size());
+        for (int64_t r = lo; r < hi; ++r) {
+          for (size_t a = 0; a < views.size(); ++a) row[a] = views[a][r];
+          (*out)[static_cast<size_t>(r)] =
+              session.PredictRow(row).value_or(0.0);
+        }
+      });
+}
+
+/// The first `limit` row ids whose verdict in `preds` is 1.
+std::vector<int64_t> FirstMatches(const std::vector<double>& preds,
+                                  int64_t limit) {
+  std::vector<int64_t> out;
+  for (size_t r = 0; r < preds.size(); ++r) {
+    if (static_cast<int64_t>(out.size()) >= limit) break;
+    if (preds[r] > 0.5) out.push_back(static_cast<int64_t>(r));
+  }
+  return out;
 }
 
 const char* VariantName(core::Variant v) {
@@ -182,8 +216,8 @@ void Run() {
       // Same adapted session answers all paths, so any output difference
       // below is the scan implementation's fault alone. One untimed warmup
       // per path settles scratch capacities and the page cache; the untimed
-      // RetrieveMatches calls feed the byte-identity and parity checks
-      // without polluting the scan timing. The parity comparison runs over
+      // retrievals feed the byte-identity and parity checks without
+      // polluting the scan timing. The parity comparison runs over
       // unbounded retrievals — a bounded scalar prefix and a bounded SIMD
       // prefix could truncate at different rows and understate agreement.
       std::vector<double> row_preds;
@@ -194,12 +228,9 @@ void Run() {
       std::vector<int64_t> col_matches_all;
       std::vector<int64_t> simd_matches_all;
 
-      session.set_scan_path(core::ScanPath::kRowAtATime);
-      if (!session.PredictRows(sdss, all_rows, &row_preds).ok()) return;
-      if (!session.RetrieveMatches(sdss, /*limit=*/500, &row_matches).ok()) {
-        return;
-      }
       session.set_scan_path(core::ScanPath::kColumnar);
+      PredictRowByRow(session, sdss, threads, &row_preds);
+      row_matches = FirstMatches(row_preds, /*limit=*/500);
       if (!session.PredictRows(sdss, all_rows, &col_preds).ok()) return;
       if (!session.RetrieveMatches(sdss, /*limit=*/500, &col_matches).ok()) {
         return;
@@ -224,9 +255,8 @@ void Run() {
       row.col_wall_s = 0.0;
       row.simd_wall_s = 0.0;
       for (int64_t r = 0; r < reps; ++r) {
-        session.set_scan_path(core::ScanPath::kRowAtATime);
         Stopwatch row_sw;
-        if (!session.PredictRows(sdss, all_rows, &row_preds).ok()) return;
+        PredictRowByRow(session, sdss, threads, &row_preds);
         const double row_s = row_sw.ElapsedSeconds();
         if (r == 0 || row_s < row.row_wall_s) row.row_wall_s = row_s;
 

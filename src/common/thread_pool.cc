@@ -125,19 +125,19 @@ void ThreadPool::ParallelForShards(
   if (job_ == job) job_ = nullptr;
 }
 
-void ThreadPool::ParallelForEarlyExit(int64_t num_chunks,
-                                      int64_t max_parallelism,
-                                      const std::function<void(int64_t)>& fn,
-                                      const std::function<bool()>& cancelled) {
+void ThreadPool::ParallelForEarlyExit(
+    int64_t num_chunks, int64_t max_parallelism,
+    const std::function<void(int64_t lane, int64_t chunk)>& fn,
+    const std::function<bool()>& cancelled) {
   if (num_chunks <= 0) return;
   const int64_t lanes =
       std::min<int64_t>(std::max<int64_t>(max_parallelism, 1), num_chunks);
   std::atomic<int64_t> next_chunk{0};
-  const auto claim_loop = [&](int64_t /*lane*/) {
+  const auto claim_loop = [&](int64_t lane) {
     while (!cancelled()) {
       const int64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
-      fn(c);
+      fn(lane, c);
     }
   };
   // Sequential fallback mirrors ParallelFor: chunks run in order on the

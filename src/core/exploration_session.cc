@@ -1,12 +1,10 @@
 #include "core/exploration_session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -15,18 +13,12 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
+#include "core/block_scan.h"
 #include "core/meta_trainer.h"
 #include "core/uis_feature.h"
 
 namespace lte::core {
 namespace {
-
-/// Rows per scan chunk: the unit RetrieveMatches lanes claim and the block
-/// size of the columnar fast path (chunk == block keeps one encode/score
-/// round per claimed chunk). Shared with the coalesced serving front-end
-/// via the public alias so cross-session batches group at the same
-/// granularity.
-constexpr int64_t kScanChunkRows = kServingBlockRows;
 
 // Session file header (see DESIGN.md §2d "Session lifecycle").
 constexpr uint64_t kSessionMagic = 0x4C5445534553534EULL;  // "LTESESSN".
@@ -539,10 +531,8 @@ Status ExplorationSession::SuggestTuples(
   model_->encoder().EncodeGatheredInto(sc.columns, attrs, sc.rows,
                                        &sc.encoded);
   sc.probs.resize(candidates.size());
-  state.task_model->PredictProbabilityBatch(
-      sc.encoded, n, &sc.batch, sc.probs,
-      scan_path_ == ScanPath::kColumnarSimd ? nn::BatchKernel::kSimd
-                                            : nn::BatchKernel::kScalar);
+  state.task_model->PredictProbabilityBatch(sc.encoded, n, &sc.batch,
+                                            sc.probs, batch_kernel());
   state.policy->Select(sc.probs, k, rng_.has_value() ? &*rng_ : nullptr,
                        suggested);
   return Status::OK();
@@ -612,59 +602,6 @@ double ExplorationSession::PredictSubspaceUnchecked(
   return pred;
 }
 
-double ExplorationSession::PredictRowInTable(const data::Table& table,
-                                             int64_t r,
-                                             Scratch* scratch) const {
-  for (int64_t s = 0; s < active_count_; ++s) {
-    table.RowProjectedInto(r, model_->subspace(s)->attribute_indices,
-                           &scratch->point);
-    if (PredictSubspaceUnchecked(s, scratch->point, scratch) < 0.5) return 0.0;
-  }
-  return 1.0;
-}
-
-void ExplorationSession::PredictBlockColumnar(const data::Table& table,
-                                              std::span<const int64_t> rows,
-                                              BlockScratch* scratch,
-                                              double* out) const {
-  const auto n = static_cast<int64_t>(rows.size());
-  scratch->alive.assign(rows.size(), 1);
-  scratch->survivors.resize(rows.size());
-  for (int64_t k = 0; k < n; ++k) scratch->survivors[static_cast<size_t>(k)] = k;
-
-  for (int64_t s = 0; s < active_count_ && !scratch->survivors.empty(); ++s) {
-    const std::vector<int64_t>& attrs = model_->subspace(s)->attribute_indices;
-    scratch->columns.clear();
-    for (int64_t a : attrs) scratch->columns.push_back(table.View(a));
-    // Gather + encode only the rows every earlier subspace accepted, one
-    // subspace at a time over the whole block.
-    const auto count = static_cast<int64_t>(scratch->survivors.size());
-    scratch->gather.resize(scratch->survivors.size());
-    for (int64_t i = 0; i < count; ++i) {
-      scratch->gather[static_cast<size_t>(i)] =
-          rows[static_cast<size_t>(scratch->survivors[static_cast<size_t>(i)])];
-    }
-    model_->encoder().EncodeGatheredInto(scratch->columns, attrs,
-                                         scratch->gather, &scratch->encoded);
-    scratch->probs.resize(scratch->survivors.size());
-    ScoreEncodedBlock(s, scratch->encoded, scratch->gather, scratch->columns,
-                      &scratch->batch, &scratch->point, scratch->probs);
-    scratch->next.clear();
-    for (int64_t i = 0; i < count; ++i) {
-      const int64_t k = scratch->survivors[static_cast<size_t>(i)];
-      if (scratch->probs[static_cast<size_t>(i)] < 0.5) {
-        scratch->alive[static_cast<size_t>(k)] = 0;
-      } else {
-        scratch->next.push_back(k);
-      }
-    }
-    std::swap(scratch->survivors, scratch->next);
-  }
-  for (int64_t k = 0; k < n; ++k) {
-    out[k] = scratch->alive[static_cast<size_t>(k)] != 0 ? 1.0 : 0.0;
-  }
-}
-
 void ExplorationSession::ScoreEncodedBlock(
     int64_t s, std::span<const double> encoded, std::span<const int64_t> rows,
     const std::vector<data::ColumnView>& columns,
@@ -675,11 +612,8 @@ void ExplorationSession::ScoreEncodedBlock(
   LTE_CHECK(state.task_model != nullptr);
   const auto count = static_cast<int64_t>(rows.size());
   LTE_CHECK(static_cast<int64_t>(out.size()) == count);
-  const nn::BatchKernel kernel = scan_path_ == ScanPath::kColumnarSimd
-                                     ? nn::BatchKernel::kSimd
-                                     : nn::BatchKernel::kScalar;
   state.task_model->PredictProbabilityBatch(encoded, count, batch_scratch,
-                                            out, kernel);
+                                            out, batch_kernel());
   for (int64_t i = 0; i < count; ++i) {
     double pred = out[static_cast<size_t>(i)] > 0.5 ? 1.0 : 0.0;
     if (state.fpfn.has_value()) {
@@ -739,32 +673,14 @@ Status ExplorationSession::PredictRows(const data::Table& table,
                                 std::to_string(table.num_rows()) + ")");
     }
   }
-  const auto n = static_cast<int64_t>(rows.size());
   predictions->assign(rows.size(), 0.0);
-  // Contiguous lanes writing disjoint per-index slots: bit-identical output
-  // at any thread count. Every row's prediction is computed independently
-  // (blocks only group work), so the columnar and row paths agree byte for
-  // byte regardless of where shard or block boundaries fall. One scratch per
-  // shard keeps the hot loop free of per-row allocations.
-  ThreadPool::Shared().ParallelForShards(
-      0, n, ResolveThreadCount(num_threads()), [&](int64_t lo, int64_t hi) {
-        if (scan_path_ != ScanPath::kRowAtATime) {
-          BlockScratch scratch;
-          for (int64_t b = lo; b < hi; b += kScanChunkRows) {
-            const int64_t e = std::min(b + kScanChunkRows, hi);
-            PredictBlockColumnar(
-                table, rows.subspan(static_cast<size_t>(b),
-                                    static_cast<size_t>(e - b)),
-                &scratch, predictions->data() + b);
-          }
-        } else {
-          Scratch scratch;
-          for (int64_t i = lo; i < hi; ++i) {
-            (*predictions)[static_cast<size_t>(i)] = PredictRowInTable(
-                table, rows[static_cast<size_t>(i)], &scratch);
-          }
-        }
-      });
+  // Every row's verdict is computed independently (blocks only group work),
+  // so it equals PredictRow on that row wherever block boundaries fall.
+  std::vector<int64_t> hits;
+  const ScanSubscriber self{this, {}, -1, &hits};
+  BlockScan().Run(table, static_cast<int64_t>(rows.size()), rows, {&self, 1},
+                  ResolveThreadCount(num_threads()));
+  for (const int64_t p : hits) (*predictions)[static_cast<size_t>(p)] = 1.0;
   return Status::OK();
 }
 
@@ -777,69 +693,10 @@ Status ExplorationSession::RetrieveMatches(const data::Table& table,
   matches->clear();
   LTE_RETURN_IF_ERROR(ValidateServing(table));
   if (limit == 0) return Status::OK();  // Only limit < 0 means "unlimited".
-  const int64_t num_rows = table.num_rows();
-  if (num_rows == 0) return Status::OK();
-
-  // Order-preserving chunked scan. Chunk boundaries depend only on the row
-  // count, lanes collect match indices into per-chunk slots, and the slots
-  // are concatenated in chunk order afterwards, so the result is
-  // bit-identical at any thread count. With a positive limit, lanes stop
-  // claiming chunks once the matches found so far already cover it: chunks
-  // are claimed in increasing order, so every match found lies in a chunk
-  // that precedes all unclaimed ones — the first `limit` matches in row
-  // order are already in hand, and later chunks cannot contribute earlier
-  // rows. Slots are recorded lazily per *claimed* chunk (not pre-sized to
-  // O(num_chunks)), so a small-limit probe on a huge table allocates in
-  // proportion to the handful of chunks it actually scans.
-  const int64_t num_chunks = (num_rows + kScanChunkRows - 1) / kScanChunkRows;
-  std::vector<std::pair<int64_t, std::vector<int64_t>>> claimed;
-  std::mutex claimed_mu;
-  std::atomic<int64_t> found{0};
-  ThreadPool::Shared().ParallelForEarlyExit(
-      num_chunks, ResolveThreadCount(num_threads()),
-      [&](int64_t c) {
-        const int64_t lo = c * kScanChunkRows;
-        const int64_t hi = std::min(lo + kScanChunkRows, num_rows);
-        std::vector<int64_t> slot;
-        if (scan_path_ != ScanPath::kRowAtATime) {
-          BlockScratch scratch;
-          std::vector<int64_t> block(static_cast<size_t>(hi - lo));
-          std::iota(block.begin(), block.end(), lo);
-          std::vector<double> preds(block.size());
-          PredictBlockColumnar(table, block, &scratch, preds.data());
-          for (size_t i = 0; i < block.size(); ++i) {
-            if (preds[i] > 0.5) slot.push_back(block[i]);
-          }
-        } else {
-          Scratch scratch;
-          for (int64_t r = lo; r < hi; ++r) {
-            if (PredictRowInTable(table, r, &scratch) > 0.5) slot.push_back(r);
-          }
-        }
-        if (!slot.empty()) {
-          found.fetch_add(static_cast<int64_t>(slot.size()),
-                          std::memory_order_relaxed);
-          const std::lock_guard<std::mutex> lock(claimed_mu);
-          claimed.emplace_back(c, std::move(slot));
-        }
-      },
-      [&] {
-        return limit > 0 && found.load(std::memory_order_relaxed) >= limit;
-      });
-  // Which chunks beyond the cancellation point still ran is
-  // timing-dependent, but the executed set is always a contiguous prefix
-  // containing the first `limit` matches; sorting the claimed slots by chunk
-  // index and truncating reproduces the row-order result exactly.
-  std::sort(claimed.begin(), claimed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [chunk, slot] : claimed) {
-    for (int64_t r : slot) {
-      matches->push_back(r);
-      if (limit > 0 && static_cast<int64_t>(matches->size()) >= limit) {
-        return Status::OK();
-      }
-    }
-  }
+  // A whole-table domain: match positions are row ids.
+  const ScanSubscriber self{this, {}, limit, matches};
+  BlockScan().Run(table, table.num_rows(), {}, {&self, 1},
+                  ResolveThreadCount(num_threads()));
   return Status::OK();
 }
 

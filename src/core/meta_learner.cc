@@ -391,6 +391,8 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
                                         std::span<double> out,
                                         nn::BatchKernel kernel) const {
   LTE_CHECK_GE(count, 0);
+  LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()),
+               count * f_tau_.in_features());
   LTE_CHECK_EQ(static_cast<int64_t>(out.size()), count);
   if (count == 0) return;
   if (!emb_r_valid_) {

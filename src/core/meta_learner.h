@@ -89,8 +89,9 @@ class TaskModel {
   };
 
   /// Block counterpart of PredictProbability for the columnar serving path:
-  /// `tuples` holds `count` row-major encoded tuples of f_tau's input width
-  /// each; writes P(interesting) for tuple n into `out[n]`. With the default
+  /// `tuples` holds exactly `count` row-major encoded tuples of f_tau's
+  /// input width each, and `out` exactly `count` slots (both LTE_CHECKed);
+  /// writes P(interesting) for tuple n into `out[n]`. With the default
   /// kScalar kernel each probability is bit-identical to PredictProbability
   /// on that tuple — the batch runs the same operation sequence per row (the
   /// constant left half of the M_cp · [emb_R; emb_tau] product is evaluated

@@ -203,29 +203,23 @@ std::vector<double> Table::Row(int64_t row) const {
 
 std::vector<double> Table::RowProjected(
     int64_t row, const std::vector<int64_t>& cols) const {
-  std::vector<double> out;
-  RowProjectedInto(row, cols, &out);
-  return out;
-}
-
-void Table::RowProjectedInto(int64_t row, const std::vector<int64_t>& cols,
-                             std::vector<double>* out) const {
   LTE_CHECK_GE(row, 0);
   LTE_CHECK_LT(row, num_rows());
-  out->clear();
-  out->reserve(cols.size());
+  std::vector<double> out;
+  out.reserve(cols.size());
   if (row < base_rows_) {
-    for (int64_t c : cols) out->push_back(column(c).value(row));
-    return;
+    for (int64_t c : cols) out.push_back(column(c).value(row));
+    return out;
   }
   const std::shared_ptr<const Directory> dir = SnapshotDirectory();
   const Segment& seg = SegmentFor(*dir, row);
   for (int64_t c : cols) {
     LTE_CHECK_GE(c, 0);
     LTE_CHECK_LT(c, num_columns());
-    out->push_back(
+    out.push_back(
         seg.values[static_cast<size_t>(c)][static_cast<size_t>(row - seg.start)]);
   }
+  return out;
 }
 
 Table Table::Project(const std::vector<int64_t>& cols) const {

@@ -105,12 +105,6 @@ class Table {
   std::vector<double> RowProjected(int64_t row,
                                    const std::vector<int64_t>& cols) const;
 
-  /// Allocation-free variant of RowProjected for hot scan loops: clears and
-  /// refills `*out` (capacity is retained across calls, so a reused buffer
-  /// allocates only on its first use).
-  void RowProjectedInto(int64_t row, const std::vector<int64_t>& cols,
-                        std::vector<double>* out) const;
-
   /// A new table containing only the given columns (copied; appended
   /// segments are materialized into the copy's base).
   Table Project(const std::vector<int64_t>& cols) const;

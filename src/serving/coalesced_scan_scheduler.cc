@@ -1,8 +1,6 @@
 #include "serving/coalesced_scan_scheduler.h"
 
 #include <algorithm>
-#include <cstring>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -10,11 +8,6 @@
 #include "common/thread_pool.h"
 
 namespace lte::serving {
-namespace {
-
-using core::kServingBlockRows;
-
-}  // namespace
 
 CoalescedScanScheduler::CoalescedScanScheduler(
     std::shared_ptr<const core::ExplorationModel> model,
@@ -182,17 +175,14 @@ void CoalescedScanScheduler::SchedulerLoop() {
 }
 
 CoalescedScanScheduler::BatchOutcome CoalescedScanScheduler::RunBatch(
-    const std::vector<Request*>& batch) const {
-  BatchOutcome outcome;
+    const std::vector<Request*>& batch) {
   // Union row domain of the batch, ascending. A retrieval subscribes to the
-  // whole table; PredictRows requests contribute their (validated) row sets.
-  std::vector<int64_t> union_rows;
+  // whole table, which the engine scans without an id list (positions are
+  // row ids); otherwise the PredictRows requests' (validated) row sets.
   bool whole_table = false;
   for (const Request* request : batch) whole_table |= request->retrieve;
-  if (whole_table) {
-    union_rows.resize(static_cast<size_t>(table_->num_rows()));
-    std::iota(union_rows.begin(), union_rows.end(), 0);
-  } else {
+  std::vector<int64_t> union_rows;
+  if (!whole_table) {
     for (const Request* request : batch) {
       union_rows.insert(union_rows.end(), request->sorted_rows.begin(),
                         request->sorted_rows.end());
@@ -201,213 +191,48 @@ CoalescedScanScheduler::BatchOutcome CoalescedScanScheduler::RunBatch(
     union_rows.erase(std::unique(union_rows.begin(), union_rows.end()),
                      union_rows.end());
   }
-  LTE_CHECK(!union_rows.empty());  // Empty requests never reach a pass.
+  const int64_t domain_size = whole_table
+                                  ? table_->num_rows()
+                                  : static_cast<int64_t>(union_rows.size());
+  LTE_CHECK_GT(domain_size, 0);  // Empty requests never reach a pass.
 
-  const auto union_count = static_cast<int64_t>(union_rows.size());
-  const int64_t num_blocks =
-      (union_count + kServingBlockRows - 1) / kServingBlockRows;
-  for (Request* request : batch) {
-    request->verdict.assign(union_rows.size(), 0);
-  }
-
-  // The whole pass can stop claiming blocks only when every subscriber is a
-  // limit-bounded retrieval: those are satisfied by a prefix, anything else
-  // needs its full row set.
-  bool can_cancel = true;
-  for (const Request* request : batch) {
-    can_cancel &= request->retrieve && request->limit > 0;
-  }
-
-  std::atomic<int64_t> encode_passes{0};
-  ThreadPool::Shared().ParallelForEarlyExit(
-      num_blocks, ResolveThreadCount(options_.num_threads),
-      [&](int64_t block) {
-        ProcessBlock(batch, union_rows, block, &encode_passes);
-      },
-      [&] {
-        if (!can_cancel) return false;
-        for (const Request* request : batch) {
-          if (request->found.load(std::memory_order_relaxed) <
-              request->limit) {
-            return false;
-          }
-        }
-        return true;
-      });
-  outcome.encode_passes = encode_passes.load(std::memory_order_relaxed);
-
-  // Demultiplex per request, preserving each caller's own order contract.
+  subscribers_.clear();
   for (Request* request : batch) {
     if (request->retrieve) {
-      // Ascending union positions = ascending row ids; truncating at the
-      // limit reproduces the prefix of that session's unlimited scan (the
-      // executed blocks form a contiguous prefix covering it — same
-      // argument as ExplorationSession::RetrieveMatches).
-      for (int64_t p = 0; p < union_count; ++p) {
-        if (request->verdict[static_cast<size_t>(p)] != 0) {
-          request->matches->push_back(union_rows[static_cast<size_t>(p)]);
-          if (request->limit > 0 &&
-              static_cast<int64_t>(request->matches->size()) >=
-                  request->limit) {
-            break;
-          }
-        }
-      }
-      outcome.rows_served += union_count;
+      subscribers_.push_back(core::ScanSubscriber{
+          request->session, {}, request->limit, request->matches});
     } else {
-      // Input order, duplicates included: every requested row is present in
-      // the sorted union domain by construction.
-      for (size_t i = 0; i < request->rows.size(); ++i) {
-        const auto it =
-            std::lower_bound(union_rows.begin(), union_rows.end(),
-                             request->rows[i]);
-        const auto p = static_cast<size_t>(it - union_rows.begin());
-        (*request->predictions)[i] = request->verdict[p] != 0 ? 1.0 : 0.0;
-      }
-      outcome.rows_served += static_cast<int64_t>(request->rows.size());
+      subscribers_.push_back(core::ScanSubscriber{
+          request->session, request->sorted_rows, -1, &request->hits});
     }
+  }
+  BatchOutcome outcome;
+  outcome.encode_passes =
+      scan_.Run(*table_, domain_size, union_rows, subscribers_,
+                ResolveThreadCount(options_.num_threads));
+
+  // Retrievals already hold their ascending, limit-truncated row ids.
+  // PredictRows verdicts go back to input order, duplicates included: every
+  // requested row is in the domain by construction.
+  for (Request* request : batch) {
+    if (request->retrieve) {
+      outcome.rows_served += domain_size;
+      continue;
+    }
+    for (size_t i = 0; i < request->rows.size(); ++i) {
+      int64_t p = request->rows[i];
+      if (!whole_table) {
+        p = std::lower_bound(union_rows.begin(), union_rows.end(), p) -
+            union_rows.begin();
+      }
+      (*request->predictions)[i] =
+          std::binary_search(request->hits.begin(), request->hits.end(), p)
+              ? 1.0
+              : 0.0;
+    }
+    outcome.rows_served += static_cast<int64_t>(request->rows.size());
   }
   return outcome;
-}
-
-void CoalescedScanScheduler::ProcessBlock(
-    const std::vector<Request*>& batch, std::span<const int64_t> union_rows,
-    int64_t block, std::atomic<int64_t>* encode_passes) const {
-  const int64_t lo = block * kServingBlockRows;
-  const int64_t hi = std::min<int64_t>(lo + kServingBlockRows,
-                                       static_cast<int64_t>(union_rows.size()));
-  const std::span<const int64_t> blk =
-      union_rows.subspan(static_cast<size_t>(lo), static_cast<size_t>(hi - lo));
-  const auto n = static_cast<int64_t>(blk.size());
-  const auto q_count = batch.size();
-
-  // Per-request survivors: block-relative positions this session still has
-  // to score. A session subscribes to a position only if it asked for that
-  // row; a limit-bounded retrieval whose limit is already covered by
-  // completed lower-index blocks skips the block outright (its unread
-  // verdicts stay 0 — the demux truncates before ever reaching them).
-  std::vector<std::vector<int64_t>> alive(q_count);
-  std::vector<int64_t> next;
-  int64_t max_active = 0;
-  for (size_t q = 0; q < q_count; ++q) {
-    const Request* request = batch[q];
-    if (request->retrieve) {
-      if (request->limit > 0 &&
-          request->found.load(std::memory_order_relaxed) >= request->limit) {
-        continue;
-      }
-      alive[q].resize(static_cast<size_t>(n));
-      std::iota(alive[q].begin(), alive[q].end(), 0);
-    } else {
-      // Two-pointer intersection of two ascending lists: the block's rows
-      // and the request's deduplicated row set.
-      const std::vector<int64_t>& want = request->sorted_rows;
-      const auto first =
-          std::lower_bound(want.begin(), want.end(), blk[0]);
-      for (auto it = first; it != want.end() && *it <= blk[n - 1]; ++it) {
-        const auto pos = std::lower_bound(blk.begin(), blk.end(), *it);
-        if (pos != blk.end() && *pos == *it) {
-          alive[q].push_back(static_cast<int64_t>(pos - blk.begin()));
-        }
-      }
-    }
-    if (!alive[q].empty()) {
-      max_active =
-          std::max(max_active, request->session->active_subspaces());
-    }
-  }
-
-  // Shared pass: one gather+encode per subspace with live subscribers, then
-  // each subscriber's batch forward over its own survivor slice.
-  std::vector<uint8_t> member(static_cast<size_t>(n));
-  std::vector<int64_t> index_in_needed(static_cast<size_t>(n));
-  std::vector<int64_t> gather_rows;
-  std::vector<int64_t> sub_rows;
-  std::vector<data::ColumnView> columns;
-  std::vector<double> encoded;
-  std::vector<double> sub_encoded;
-  std::vector<double> preds;
-  std::vector<double> point;
-  core::TaskModel::BatchScratch batch_scratch;
-
-  for (int64_t s = 0; s < max_active; ++s) {
-    std::fill(member.begin(), member.end(), 0);
-    bool any = false;
-    for (size_t q = 0; q < q_count; ++q) {
-      if (batch[q]->session->active_subspaces() <= s || alive[q].empty()) {
-        continue;
-      }
-      for (const int64_t p : alive[q]) member[static_cast<size_t>(p)] = 1;
-      any = true;
-    }
-    if (!any) break;
-
-    gather_rows.clear();
-    for (int64_t p = 0; p < n; ++p) {
-      if (member[static_cast<size_t>(p)] != 0) {
-        index_in_needed[static_cast<size_t>(p)] =
-            static_cast<int64_t>(gather_rows.size());
-        gather_rows.push_back(blk[static_cast<size_t>(p)]);
-      }
-    }
-    const std::vector<int64_t>& attrs =
-        model_->subspace(s)->attribute_indices;
-    columns.clear();
-    for (const int64_t a : attrs) columns.push_back(table_->View(a));
-    model_->encoder().EncodeGatheredInto(columns, attrs, gather_rows,
-                                         &encoded);
-    encode_passes->fetch_add(1, std::memory_order_relaxed);
-    const int64_t width = model_->encoder().ProjectedWidth(attrs);
-
-    for (size_t q = 0; q < q_count; ++q) {
-      if (batch[q]->session->active_subspaces() <= s || alive[q].empty()) {
-        continue;
-      }
-      const auto count = static_cast<int64_t>(alive[q].size());
-      sub_rows.resize(alive[q].size());
-      std::span<const double> q_encoded;
-      if (count == static_cast<int64_t>(gather_rows.size())) {
-        // This session's survivors ARE the encoded set — score it in place.
-        for (int64_t i = 0; i < count; ++i) {
-          sub_rows[static_cast<size_t>(i)] =
-              blk[static_cast<size_t>(alive[q][static_cast<size_t>(i)])];
-        }
-        q_encoded = encoded;
-      } else {
-        sub_encoded.resize(static_cast<size_t>(count * width));
-        for (int64_t i = 0; i < count; ++i) {
-          const int64_t p = alive[q][static_cast<size_t>(i)];
-          sub_rows[static_cast<size_t>(i)] = blk[static_cast<size_t>(p)];
-          std::memcpy(
-              sub_encoded.data() + i * width,
-              encoded.data() + index_in_needed[static_cast<size_t>(p)] * width,
-              static_cast<size_t>(width) * sizeof(double));
-        }
-        q_encoded = sub_encoded;
-      }
-      preds.resize(alive[q].size());
-      batch[q]->session->ScoreEncodedBlock(s, q_encoded, sub_rows, columns,
-                                           &batch_scratch, &point, preds);
-      next.clear();
-      for (int64_t i = 0; i < count; ++i) {
-        if (preds[static_cast<size_t>(i)] >= 0.5) {
-          next.push_back(alive[q][static_cast<size_t>(i)]);
-        }
-      }
-      alive[q].swap(next);
-    }
-  }
-
-  for (size_t q = 0; q < q_count; ++q) {
-    Request* request = batch[q];
-    for (const int64_t p : alive[q]) {
-      request->verdict[static_cast<size_t>(lo + p)] = 1;
-    }
-    if (request->retrieve && request->limit > 0 && !alive[q].empty()) {
-      request->found.fetch_add(static_cast<int64_t>(alive[q].size()),
-                               std::memory_order_relaxed);
-    }
-  }
 }
 
 }  // namespace lte::serving

@@ -1,7 +1,6 @@
 #ifndef LTE_SERVING_COALESCED_SCAN_SCHEDULER_H_
 #define LTE_SERVING_COALESCED_SCAN_SCHEDULER_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/block_scan.h"
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
 #include "data/table.h"
@@ -67,12 +67,11 @@ struct CoalescedScanStats {
 /// subspace block N times even though the encoding is user-independent. This
 /// scheduler accepts `PredictRows` / `RetrieveMatches` requests from many
 /// sessions, groups whatever is queued when a flush trigger fires into one
-/// shared pass, and for each subspace x `core::kServingBlockRows`-row block
-/// gathers + encodes **once** (`TabularEncoder::EncodeGatheredInto`), then
-/// runs each subscribed session's batch forward over its own survivors of
-/// the shared encoded block (`ExplorationSession::ScoreEncodedBlock`). The
-/// per-user work shrinks to the adapted-weights matmul plus the Meta* FP/FN
-/// refinement.
+/// shared pass of the block-scan engine (`core::BlockScan`, N subscribers),
+/// which for each subspace x `core::kServingBlockRows`-row block gathers +
+/// encodes **once**, then runs each subscribed session's batch forward over
+/// its own survivors of the shared encoded block. The per-user work shrinks
+/// to the adapted-weights matmul plus the Meta* FP/FN refinement.
 ///
 ///   CoalescedScanScheduler scheduler(model, &table);
 ///   // Per user, on the user's own thread:
@@ -147,14 +146,8 @@ class CoalescedScanScheduler {
     int64_t limit = -1;
     std::vector<double>* predictions = nullptr;
     std::vector<int64_t>* matches = nullptr;
-    /// One slot per union-domain row position; 1 = predicted interesting.
-    /// Lanes write disjoint block slices; read after the pass's pool join.
-    std::vector<uint8_t> verdict;
-    /// Matches found so far (limit-bounded retrievals only): lets later
-    /// blocks skip scoring this session once the limit is already covered by
-    /// completed lower-index blocks. Monotone, so relaxed ordering suffices
-    /// — a stale low read only costs a redundant (bit-identical) score.
-    std::atomic<int64_t> found{0};
+    /// PredictRows: the pass's ascending matched union-domain positions.
+    std::vector<int64_t> hits;
     std::chrono::steady_clock::time_point enqueue_time;
     bool done = false;  // Guarded by the scheduler mutex.
   };
@@ -172,10 +165,7 @@ class CoalescedScanScheduler {
   Status Submit(Request* request);
 
   void SchedulerLoop();
-  BatchOutcome RunBatch(const std::vector<Request*>& batch) const;
-  void ProcessBlock(const std::vector<Request*>& batch,
-                    std::span<const int64_t> union_rows, int64_t block,
-                    std::atomic<int64_t>* encode_passes) const;
+  BatchOutcome RunBatch(const std::vector<Request*>& batch);
 
   std::shared_ptr<const core::ExplorationModel> model_;
   const data::Table* table_;
@@ -189,6 +179,10 @@ class CoalescedScanScheduler {
   bool flush_requested_ = false;          // Guarded by mu_.
   bool stopping_ = false;                 // Guarded by mu_.
   CoalescedScanStats stats_;              // Guarded by mu_.
+  /// Shared-pass engine and its per-lane scratch, reused across batches;
+  /// touched only by the scheduler thread.
+  core::BlockScan scan_;
+  std::vector<core::ScanSubscriber> subscribers_;
   std::thread scheduler_;                 // Last member: joins before the rest.
 };
 

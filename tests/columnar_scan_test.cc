@@ -1,9 +1,9 @@
 // Byte-identity property tests for the columnar serving fast path: the
 // kColumnar scan behind PredictRows/RetrieveMatches must produce exactly the
-// same bytes as the kRowAtATime reference — for every variant, at any thread
-// count, for ragged block boundaries, and under retrieval limits. The
-// argument for why this holds is in DESIGN.md §2b "Columnar serving path";
-// this file is the enforcement.
+// same bytes as the row-at-a-time PredictRow reference (scan_oracle.h) — for
+// every variant, at any thread count, for ragged block boundaries, and under
+// retrieval limits. The argument for why this holds is in DESIGN.md §2b
+// "Columnar serving path"; this file is the enforcement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +17,13 @@
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
 #include "data/synthetic.h"
+#include "scan_oracle.h"
 
 namespace lte::core {
 namespace {
+
+using testing_oracle::OracleMatches;
+using testing_oracle::OraclePredictions;
 
 ExplorerOptions SmallExplorerOptions() {
   ExplorerOptions opt;
@@ -85,12 +89,12 @@ class ColumnarScanTest : public ::testing::Test {
 TEST_F(ColumnarScanTest, ColumnarIsDefault) {
   ExplorationSession session(model_);
   EXPECT_EQ(session.scan_path(), ScanPath::kColumnar);
-  session.set_scan_path(ScanPath::kRowAtATime);
-  EXPECT_EQ(session.scan_path(), ScanPath::kRowAtATime);
+  session.set_scan_path(ScanPath::kColumnarSimd);
+  EXPECT_EQ(session.scan_path(), ScanPath::kColumnarSimd);
 }
 
 // The core property: for every variant and thread count, PredictRows and
-// RetrieveMatches return the same bytes on both scan paths — over the whole
+// RetrieveMatches return the same bytes as the row reference — over the whole
 // ragged table, over subsets whose sizes are not multiples of the block
 // size, and over non-contiguous row selections.
 TEST_F(ColumnarScanTest, PathsAreByteIdentical) {
@@ -123,10 +127,8 @@ TEST_F(ColumnarScanTest, PathsAreByteIdentical) {
         session.set_scan_path(ScanPath::kColumnar);
         std::vector<double> columnar;
         ASSERT_TRUE(session.PredictRows(table_, row_sets[i], &columnar).ok());
-        session.set_scan_path(ScanPath::kRowAtATime);
-        std::vector<double> row_at_a_time;
-        ASSERT_TRUE(
-            session.PredictRows(table_, row_sets[i], &row_at_a_time).ok());
+        const std::vector<double> row_at_a_time =
+            OraclePredictions(session, table_, row_sets[i]);
         // Exact 0.0/1.0 equality — no tolerance.
         EXPECT_EQ(columnar, row_at_a_time);
         // Sanity: the scan found both classes (a degenerate all-0/all-1
@@ -144,10 +146,8 @@ TEST_F(ColumnarScanTest, PathsAreByteIdentical) {
         session.set_scan_path(ScanPath::kColumnar);
         std::vector<int64_t> columnar;
         ASSERT_TRUE(session.RetrieveMatches(table_, limit, &columnar).ok());
-        session.set_scan_path(ScanPath::kRowAtATime);
-        std::vector<int64_t> row_at_a_time;
-        ASSERT_TRUE(
-            session.RetrieveMatches(table_, limit, &row_at_a_time).ok());
+        const std::vector<int64_t> row_at_a_time =
+            OracleMatches(session, table_, limit);
         EXPECT_EQ(columnar, row_at_a_time);
         // Matches are ascending row ids regardless of path.
         EXPECT_TRUE(
@@ -160,8 +160,8 @@ TEST_F(ColumnarScanTest, PathsAreByteIdentical) {
   }
 }
 
-// Both scan paths must also agree with the scalar PredictRow API, which
-// shares no batching machinery with either.
+// The block scan must also agree with the scalar PredictRow API, which
+// shares no batching machinery with it.
 TEST_F(ColumnarScanTest, BlockScanAgreesWithScalarPredictRow) {
   ExplorationSession session(model_, /*num_threads=*/1);
   Rng rng(5);
@@ -190,11 +190,7 @@ TEST_F(ColumnarScanTest, SmallAndSingleRowScans) {
         std::vector<int64_t>{5, 5, 5}}) {
     std::vector<double> columnar;
     ASSERT_TRUE(session.PredictRows(table_, rows, &columnar).ok());
-    session.set_scan_path(ScanPath::kRowAtATime);
-    std::vector<double> reference;
-    ASSERT_TRUE(session.PredictRows(table_, rows, &reference).ok());
-    session.set_scan_path(ScanPath::kColumnar);
-    EXPECT_EQ(columnar, reference);
+    EXPECT_EQ(columnar, OraclePredictions(session, table_, rows));
   }
   std::vector<double> empty;
   ASSERT_TRUE(session.PredictRows(table_, {}, &empty).ok());

@@ -21,9 +21,13 @@
 #include "core/exploration_session.h"
 #include "data/synthetic.h"
 #include "data/table.h"
+#include "scan_oracle.h"
 
 namespace lte::data {
 namespace {
+
+using testing_oracle::OracleMatches;
+using testing_oracle::OraclePredictions;
 
 Table TwoColumnTable() {
   Table table({"a", "b"});
@@ -50,9 +54,7 @@ TEST(LiveTableTest, AppendRowsPublishesAtomicallyAndSpansSegments) {
               (std::vector<double>{static_cast<double>(r),
                                    static_cast<double>(10 + r)}));
   }
-  std::vector<double> projected;
-  table.RowProjectedInto(6, {1}, &projected);
-  EXPECT_EQ(projected, std::vector<double>{16.0});
+  EXPECT_EQ(table.RowProjected(6, {1}), std::vector<double>{16.0});
 
   // An empty batch is a no-op that seals nothing.
   ASSERT_TRUE(table.AppendRows({}).ok());
@@ -271,9 +273,9 @@ std::vector<data::Subspace>* LiveTableScanTest::subspaces_ = nullptr;
 std::shared_ptr<core::ExplorationModel> LiveTableScanTest::model_;
 
 // The tentpole property: a segmented table is indistinguishable from its
-// monolithic twin — byte for byte — on every scan path, at 1 and 4 threads,
-// for all three variants, including row selections that cross the append
-// boundary and both segment seams.
+// monolithic twin — byte for byte — on the block scan and the row reference,
+// at 1 and 4 threads, for all three variants, including row selections that
+// cross the append boundary and both segment seams.
 TEST_F(LiveTableScanTest, SegmentedScanByteIdenticalToMonolithic) {
   std::vector<int64_t> all_rows(static_cast<size_t>(monolithic_->num_rows()));
   std::iota(all_rows.begin(), all_rows.end(), 0);
@@ -289,27 +291,25 @@ TEST_F(LiveTableScanTest, SegmentedScanByteIdenticalToMonolithic) {
       core::ExplorationSession session(model_, threads);
       Rng rng(1000);
       ASSERT_TRUE(session.StartExploration(UserLabels(), variant, &rng).ok());
-      for (const core::ScanPath path :
-           {core::ScanPath::kRowAtATime, core::ScanPath::kColumnar}) {
-        session.set_scan_path(path);
-        for (const std::vector<int64_t>& rows : {all_rows, seams}) {
-          std::vector<double> mono_preds;
-          std::vector<double> live_preds;
-          ASSERT_TRUE(
-              session.PredictRows(*monolithic_, rows, &mono_preds).ok());
-          ASSERT_TRUE(session.PredictRows(*live_, rows, &live_preds).ok());
-          EXPECT_EQ(mono_preds, live_preds);
-        }
+      // The block scan, and the row-at-a-time reference, on both twins.
+      for (const std::vector<int64_t>& rows : {all_rows, seams}) {
+        std::vector<double> mono_preds;
+        std::vector<double> live_preds;
+        ASSERT_TRUE(session.PredictRows(*monolithic_, rows, &mono_preds).ok());
+        ASSERT_TRUE(session.PredictRows(*live_, rows, &live_preds).ok());
+        EXPECT_EQ(mono_preds, live_preds);
+        EXPECT_EQ(OraclePredictions(session, *monolithic_, rows),
+                  OraclePredictions(session, *live_, rows));
+      }
+      for (const int64_t limit : {-1, 100}) {
         std::vector<int64_t> mono_matches;
         std::vector<int64_t> live_matches;
         ASSERT_TRUE(
-            session.RetrieveMatches(*monolithic_, -1, &mono_matches).ok());
-        ASSERT_TRUE(session.RetrieveMatches(*live_, -1, &live_matches).ok());
+            session.RetrieveMatches(*monolithic_, limit, &mono_matches).ok());
+        ASSERT_TRUE(session.RetrieveMatches(*live_, limit, &live_matches).ok());
         EXPECT_EQ(mono_matches, live_matches);
-        ASSERT_TRUE(
-            session.RetrieveMatches(*monolithic_, 100, &mono_matches).ok());
-        ASSERT_TRUE(session.RetrieveMatches(*live_, 100, &live_matches).ok());
-        EXPECT_EQ(mono_matches, live_matches);
+        EXPECT_EQ(OracleMatches(session, *monolithic_, limit),
+                  OracleMatches(session, *live_, limit));
       }
     }
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "nn/loss.h"
 
@@ -194,6 +196,29 @@ TEST(MetaLearnerTest, RequiresTupleFeatureDim) {
   MetaLearnerOptions opt = SmallOptions(false);
   opt.tuple_feature_dim = 0;
   EXPECT_DEATH(MetaLearner(opt, &rng), "tuple_feature_dim");
+}
+
+// An encoded block one element short of `count` tuples used to read past the
+// end of the span in the batch forward; it must die on the size check, for
+// both kernels and both the memory and the plain variants.
+TEST(MetaLearnerDeathTest, BatchPredictRejectsShortEncodedBlock) {
+  Rng rng(12);
+  for (bool memory : {false, true}) {
+    MetaLearner learner(SmallOptions(memory), &rng);
+    TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
+    TaskModel::BatchScratch scratch;
+    constexpr int64_t kCount = 200;
+    std::vector<double> out(kCount);
+    const std::vector<double> whole = RandomVec(&rng, kCount * 6);
+    tm.PredictProbabilityBatch(whole, kCount, &scratch, out);
+    const std::span<const double> short_by_one(whole.data(), whole.size() - 1);
+    for (const nn::BatchKernel kernel :
+         {nn::BatchKernel::kScalar, nn::BatchKernel::kSimd}) {
+      EXPECT_DEATH(tm.PredictProbabilityBatch(short_by_one, kCount, &scratch,
+                                              out, kernel),
+                   "tuples\\.size\\(\\)");
+    }
+  }
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ TEST(ThreadPoolTest, EarlyExitRunsEveryChunkWhenNeverCancelled) {
   ThreadPool pool(4);
   std::vector<int> hits(500, 0);
   pool.ParallelForEarlyExit(
-      500, 4, [&](int64_t c) { ++hits[static_cast<size_t>(c)]; },
+      500, 4, [&](int64_t, int64_t c) { ++hits[static_cast<size_t>(c)]; },
       [] { return false; });
   for (size_t c = 0; c < hits.size(); ++c) {
     ASSERT_EQ(hits[c], 1) << "chunk " << c;
@@ -147,7 +147,7 @@ TEST(ThreadPoolTest, EarlyExitExecutesContiguousPrefix) {
   std::atomic<int64_t> done{0};
   pool.ParallelForEarlyExit(
       1000, 4,
-      [&](int64_t c) {
+      [&](int64_t, int64_t c) {
         hits[static_cast<size_t>(c)].fetch_add(1);
         done.fetch_add(1);
       },
@@ -168,10 +168,10 @@ TEST(ThreadPoolTest, EarlyExitCancelledUpFrontRunsNothing) {
   ThreadPool pool(2);
   int64_t calls = 0;
   pool.ParallelForEarlyExit(
-      100, 4, [&](int64_t) { ++calls; }, [] { return true; });
+      100, 4, [&](int64_t, int64_t) { ++calls; }, [] { return true; });
   EXPECT_EQ(calls, 0);
   pool.ParallelForEarlyExit(
-      0, 4, [&](int64_t) { ++calls; }, [] { return false; });
+      0, 4, [&](int64_t, int64_t) { ++calls; }, [] { return false; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -180,16 +180,48 @@ TEST(ThreadPoolTest, EarlyExitSequentialAndNestedFallbacks) {
   ThreadPool pool(4);
   std::vector<int64_t> order;
   pool.ParallelForEarlyExit(
-      8, 1, [&](int64_t c) { order.push_back(c); }, [] { return false; });
+      8, 1, [&](int64_t, int64_t c) { order.push_back(c); },
+      [] { return false; });
   EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
   // From inside a pool lane the early-exit loop must complete inline rather
   // than deadlock on the busy pool.
   std::atomic<int64_t> nested{0};
   pool.ParallelFor(0, 4, 4, [&](int64_t) {
     pool.ParallelForEarlyExit(
-        16, 4, [&](int64_t) { nested.fetch_add(1); }, [] { return false; });
+        16, 4, [&](int64_t, int64_t) { nested.fetch_add(1); },
+        [] { return false; });
   });
   EXPECT_EQ(nested.load(), 4 * 16);
+}
+
+TEST(ThreadPoolTest, EarlyExitLanesAreExclusiveAndInRange) {
+  // Callers index per-lane scratch with `lane`: it must stay below
+  // min(max_parallelism, num_chunks), and no two bodies may run on one lane
+  // at the same time.
+  ThreadPool pool(4);
+  for (const int64_t chunks : {int64_t{3}, int64_t{200}}) {
+    const int64_t lanes = std::min<int64_t>(4, chunks);
+    std::vector<std::atomic<int>> busy(static_cast<size_t>(lanes));
+    for (auto& b : busy) b.store(0);
+    std::atomic<bool> ok{true};
+    std::atomic<int64_t> calls{0};
+    pool.ParallelForEarlyExit(
+        chunks, 4,
+        [&](int64_t lane, int64_t) {
+          if (lane < 0 || lane >= lanes) {
+            ok.store(false);
+            return;
+          }
+          if (busy[static_cast<size_t>(lane)].fetch_add(1) != 0) {
+            ok.store(false);
+          }
+          calls.fetch_add(1);
+          busy[static_cast<size_t>(lane)].fetch_sub(1);
+        },
+        [] { return false; });
+    EXPECT_TRUE(ok.load()) << "chunks=" << chunks;
+    EXPECT_EQ(calls.load(), chunks);
+  }
 }
 
 TEST(ThreadPoolTest, SharedPoolSingleton) {
