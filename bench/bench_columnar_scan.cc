@@ -29,6 +29,7 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,39 @@ const char* VariantName(core::Variant v) {
       return "Meta*";
   }
   return "?";
+}
+
+/// The encode layer alone, informational: every serving block of `table`
+/// through `EncodeGatheredInto` for each subspace, in ns per (row,
+/// subspace), min over `reps` passes. The scan walls above include it; this
+/// names its share.
+double EncodeNsPerRow(const core::ExplorationModel& model,
+                      const data::Table& table, int64_t reps) {
+  std::vector<int64_t> rows(static_cast<size_t>(table.num_rows()));
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  std::vector<double> encoded;
+  double best_s = 0.0;
+  for (int64_t r = 0; r < reps; ++r) {
+    Stopwatch sw;
+    for (int64_t s = 0; s < model.num_subspaces(); ++s) {
+      const std::vector<int64_t>& attrs = model.subspace(s)->attribute_indices;
+      std::vector<data::ColumnView> columns;
+      for (const int64_t a : attrs) columns.push_back(table.View(a));
+      for (size_t begin = 0; begin < rows.size();
+           begin += static_cast<size_t>(core::kServingBlockRows)) {
+        const size_t n = std::min(static_cast<size_t>(core::kServingBlockRows),
+                                  rows.size() - begin);
+        model.encoder().EncodeGatheredInto(
+            columns, attrs, std::span<const int64_t>(rows).subspan(begin, n),
+            &encoded);
+      }
+    }
+    const double elapsed = sw.ElapsedSeconds();
+    if (r == 0 || elapsed < best_s) best_s = elapsed;
+  }
+  const double cells = static_cast<double>(rows.size()) *
+                       static_cast<double>(model.num_subspaces());
+  return cells > 0.0 ? best_s * 1e9 / cells : 0.0;
 }
 
 /// Scripted user labels: interesting iff the subspace point's first
@@ -308,6 +342,9 @@ void Run() {
     }
   }
   table.Print();
+  const double encode_ns_per_row = EncodeNsPerRow(*model, sdss, reps);
+  std::printf("encode alone: %.1f ns per (row, subspace), min of %lld\n",
+              encode_ns_per_row, static_cast<long long>(reps));
   std::printf("all row/columnar pairs byte-identical: %s\n",
               all_identical ? "yes" : "NO — scan-path contract violated");
   std::printf("all simd rows within statistical parity: %s "
@@ -344,6 +381,7 @@ void Run() {
                  meta_single_thread_speedup);
     std::fprintf(f, "  \"meta_single_thread_simd_speedup\": %.3f,\n",
                  meta_single_thread_simd_speedup);
+    std::fprintf(f, "  \"encode_ns_per_row\": %.3f,\n", encode_ns_per_row);
     std::fprintf(f, "  \"sweep\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const SweepRow& r = results[i];

@@ -4,12 +4,6 @@
 #include <limits>
 
 namespace lte {
-namespace {
-
-// Guards against absurd sizes from corrupted files before allocating.
-constexpr uint64_t kMaxReasonableCount = uint64_t{1} << 32;
-
-}  // namespace
 
 void BinaryWriter::WriteU64(uint64_t v) {
   char buf[8];
@@ -94,7 +88,7 @@ Status BinaryReader::ReadBool(bool* v) {
 Status BinaryReader::ReadString(std::string* s) {
   uint64_t n = 0;
   LTE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxReasonableCount) {
+  if (n > kMaxSerializedCount) {
     return Status::IoError("binary read: implausible string length");
   }
   s->resize(n);
@@ -104,7 +98,7 @@ Status BinaryReader::ReadString(std::string* s) {
 Status BinaryReader::ReadDoubleVector(std::vector<double>* v) {
   uint64_t n = 0;
   LTE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxReasonableCount) {
+  if (n > kMaxSerializedCount) {
     return Status::IoError("binary read: implausible vector length");
   }
   v->resize(n);
@@ -115,7 +109,7 @@ Status BinaryReader::ReadDoubleVector(std::vector<double>* v) {
 Status BinaryReader::ReadI64Vector(std::vector<int64_t>* v) {
   uint64_t n = 0;
   LTE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxReasonableCount) {
+  if (n > kMaxSerializedCount) {
     return Status::IoError("binary read: implausible vector length");
   }
   v->resize(n);
@@ -126,7 +120,7 @@ Status BinaryReader::ReadI64Vector(std::vector<int64_t>* v) {
 Status BinaryReader::ReadPointSet(std::vector<std::vector<double>>* points) {
   uint64_t n = 0;
   LTE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxReasonableCount) {
+  if (n > kMaxSerializedCount) {
     return Status::IoError("binary read: implausible point-set size");
   }
   points->resize(n);

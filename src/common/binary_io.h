@@ -44,6 +44,10 @@ class BinaryWriter {
 /// (this is an integrity check, not a cryptographic commitment).
 uint64_t Fnv1a64(const void* data, size_t size);
 
+/// Largest element count a reader accepts for a length-prefixed sequence;
+/// a larger count is corruption and fails before anything is allocated.
+inline constexpr uint64_t kMaxSerializedCount = uint64_t{1} << 32;
+
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream* in) : in_(in) {}

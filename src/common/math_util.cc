@@ -66,14 +66,8 @@ double Variance(const std::vector<double>& v) {
 }
 
 double LogGaussianPdf(double x, double mean, double variance) {
-  constexpr double kMinVariance = 1e-12;
-  const double var = std::max(variance, kMinVariance);
-  const double d = x - mean;
-  return -0.5 * (std::log(2.0 * M_PI * var) + d * d / var);
-}
-
-double Clamp(double x, double lo, double hi) {
-  return std::min(std::max(x, lo), hi);
+  const double var = std::max(variance, kMinGaussianVariance);
+  return LogGaussianPdfNormed(x, mean, var, std::log(2.0 * M_PI * var));
 }
 
 std::vector<size_t> ArgSmallestK(const std::vector<double>& values, size_t k) {

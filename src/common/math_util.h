@@ -1,6 +1,7 @@
 #ifndef LTE_COMMON_MATH_UTIL_H_
 #define LTE_COMMON_MATH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -34,11 +35,26 @@ double Mean(const std::vector<double>& v);
 /// Population variance; returns 0 for vectors with fewer than 1 element.
 double Variance(const std::vector<double>& v);
 
+/// Variance floor of the Gaussian log-pdf.
+inline constexpr double kMinGaussianVariance = 1e-12;
+
+/// Log of the Gaussian pdf of x for a variance already floored at
+/// kMinGaussianVariance, given `log_norm` = log(2π · variance). The one
+/// expression behind LogGaussianPdf and the GMM encode's precomputed
+/// constants, so both round alike.
+inline double LogGaussianPdfNormed(double x, double mean, double variance,
+                                   double log_norm) {
+  const double d = x - mean;
+  return -0.5 * (log_norm + d * d / variance);
+}
+
 /// Numerically stable log of the Gaussian pdf.
 double LogGaussianPdf(double x, double mean, double variance);
 
 /// Clamps x into [lo, hi].
-double Clamp(double x, double lo, double hi);
+inline double Clamp(double x, double lo, double hi) {
+  return std::min(std::max(x, lo), hi);
+}
 
 /// Indices of the k smallest values of `values`, ascending by
 /// (value, index) — equal values break toward the lower index, so the result

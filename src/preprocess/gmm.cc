@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
-#include "common/check.h"
 #include "common/math_util.h"
 
 namespace lte::preprocess {
@@ -50,12 +50,12 @@ Status GaussianMixture::Fit(const std::vector<double>& values,
 
   std::vector<std::vector<double>> resp(
       static_cast<size_t>(n), std::vector<double>(kk, 0.0));
+  std::vector<double> logp(kk);  // Reused by every point's E-step.
   double prev_ll = -std::numeric_limits<double>::max();
   for (int64_t iter = 0; iter < max_iterations; ++iter) {
     // E-step.
     double ll = 0.0;
     for (int64_t i = 0; i < n; ++i) {
-      std::vector<double> logp(kk);
       for (size_t c = 0; c < kk; ++c) {
         logp[c] = std::log(std::max(components_[c].weight, 1e-12)) +
                   LogGaussianPdf(values[static_cast<size_t>(i)],
@@ -96,42 +96,31 @@ Status GaussianMixture::Fit(const std::vector<double>& values,
     if (std::abs(ll - prev_ll) < 1e-6 * std::abs(ll)) break;
     prev_ll = ll;
   }
+  BuildConstants();
   return Status::OK();
 }
 
-int64_t GaussianMixture::MostLikelyComponent(double x) const {
-  LTE_CHECK_GT(num_components(), 0);
-  int64_t best = 0;
-  double best_lp = -std::numeric_limits<double>::max();
-  for (int64_t c = 0; c < num_components(); ++c) {
-    const GaussianComponent& g = components_[static_cast<size_t>(c)];
-    const double lp = std::log(std::max(g.weight, 1e-12)) +
-                      LogGaussianPdf(x, g.mean, g.variance);
-    if (lp > best_lp) {
-      best_lp = lp;
-      best = c;
-    }
+void GaussianMixture::BuildConstants() {
+  constants_.resize(components_.size());
+  for (size_t c = 0; c < components_.size(); ++c) {
+    const GaussianComponent& g = components_[c];
+    Constants& k = constants_[c];
+    k.log_weight = std::log(std::max(g.weight, 1e-12));
+    k.mean = g.mean;
+    k.variance = std::max(g.variance, kMinGaussianVariance);
+    k.log_norm = std::log(2.0 * M_PI * k.variance);
+    const double sigma = std::sqrt(g.variance);
+    k.lo = g.mean - 3.0 * sigma;
+    k.hi = g.mean + 3.0 * sigma;
   }
-  return best;
-}
-
-double GaussianMixture::NormalizeWithin(int64_t c, double x) const {
-  LTE_CHECK_GE(c, 0);
-  LTE_CHECK_LT(c, num_components());
-  const GaussianComponent& g = components_[static_cast<size_t>(c)];
-  const double sigma = std::sqrt(g.variance);
-  const double lo = g.mean - 3.0 * sigma;
-  const double hi = g.mean + 3.0 * sigma;
-  if (hi <= lo) return 0.5;
-  return Clamp((x - lo) / (hi - lo), 0.0, 1.0);
 }
 
 double GaussianMixture::MeanLogLikelihood(
     const std::vector<double>& values) const {
   if (values.empty()) return 0.0;
   double ll = 0.0;
+  std::vector<double> logp(static_cast<size_t>(num_components()));
   for (double x : values) {
-    std::vector<double> logp(static_cast<size_t>(num_components()));
     for (int64_t c = 0; c < num_components(); ++c) {
       const GaussianComponent& g = components_[static_cast<size_t>(c)];
       logp[static_cast<size_t>(c)] =
@@ -155,15 +144,24 @@ void GaussianMixture::Save(BinaryWriter* writer) const {
 Status GaussianMixture::Load(BinaryReader* reader) {
   uint64_t n = 0;
   LTE_RETURN_IF_ERROR(reader->ReadU64(&n));
-  components_.assign(n, GaussianComponent{});
-  for (GaussianComponent& g : components_) {
+  if (n > kMaxSerializedCount) {
+    return Status::IoError("gmm load: implausible component count");
+  }
+  // Grow with what the stream really holds: a corrupt count runs into the
+  // end of the stream instead of allocating up front.
+  std::vector<GaussianComponent> components;
+  for (uint64_t i = 0; i < n; ++i) {
+    GaussianComponent g;
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.weight));
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.mean));
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.variance));
     if (g.variance <= 0.0) {
       return Status::IoError("gmm load: non-positive variance");
     }
+    components.push_back(g);
   }
+  components_ = std::move(components);
+  BuildConstants();
   return Status::OK();
 }
 

@@ -4,9 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/check.h"
-#include "common/math_util.h"
-
 namespace lte::preprocess {
 
 Status JenksBreaks::Fit(const std::vector<double>& values,
@@ -77,24 +74,6 @@ Status JenksBreaks::Fit(const std::vector<double>& values,
   return Status::OK();
 }
 
-int64_t JenksBreaks::IntervalOf(double x) const {
-  LTE_CHECK_GT(num_intervals(), 0);
-  // upper_bounds_ is non-decreasing; first interval whose upper bound covers x.
-  const auto it =
-      std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), x);
-  if (it == upper_bounds_.end()) return num_intervals() - 1;
-  return static_cast<int64_t>(it - upper_bounds_.begin());
-}
-
-double JenksBreaks::NormalizeWithin(int64_t i, double x) const {
-  LTE_CHECK_GE(i, 0);
-  LTE_CHECK_LT(i, num_intervals());
-  const double lo = lower_bounds_[static_cast<size_t>(i)];
-  const double hi = upper_bounds_[static_cast<size_t>(i)];
-  if (hi <= lo) return 0.5;
-  return Clamp((x - lo) / (hi - lo), 0.0, 1.0);
-}
-
 void JenksBreaks::Save(BinaryWriter* writer) const {
   writer->WriteDoubleVector(lower_bounds_);
   writer->WriteDoubleVector(upper_bounds_);
@@ -107,6 +86,11 @@ Status JenksBreaks::Load(BinaryReader* reader) {
   LTE_RETURN_IF_ERROR(reader->ReadDouble(&goodness_));
   if (lower_bounds_.size() != upper_bounds_.size()) {
     return Status::IoError("jenks load: bound count mismatch");
+  }
+  for (size_t i = 1; i < upper_bounds_.size(); ++i) {
+    if (!(upper_bounds_[i - 1] <= upper_bounds_[i])) {
+      return Status::IoError("jenks load: upper bounds out of order");
+    }
   }
   return Status::OK();
 }

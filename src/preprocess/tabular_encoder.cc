@@ -160,38 +160,57 @@ int64_t TabularEncoder::ProjectedWidth(
   return w;
 }
 
+size_t TabularEncoder::EncodeAttributeInto(int64_t attr, const double* xs,
+                                           size_t n, double* out,
+                                           size_t stride) const {
+  const auto a = static_cast<size_t>(attr);
+  const GaussianMixture& gmm = gmms_[a];
+  const JenksBreaks& jenks = jenks_[a];
+  const auto gmm_width = static_cast<size_t>(gmm.num_components()) + 1;
+  const auto jenks_width = static_cast<size_t>(jenks.num_intervals()) + 1;
+  switch (AttributeMode(attr)) {
+    case EncodingMode::kMinMaxOnly:
+      for (size_t k = 0; k < n; ++k) {
+        out[k * stride] = normalizer_.Transform(attr, xs[k]);
+      }
+      return 1;
+    case EncodingMode::kGmmOnly:
+      for (size_t k = 0; k < n; ++k) gmm.EncodeInto(xs[k], out + k * stride);
+      return gmm_width;
+    case EncodingMode::kJenksOnly:
+      for (size_t k = 0; k < n; ++k) jenks.EncodeInto(xs[k], out + k * stride);
+      return jenks_width;
+    case EncodingMode::kCombined:
+      for (size_t k = 0; k < n; ++k) {
+        gmm.EncodeInto(xs[k], out + k * stride);
+        jenks.EncodeInto(xs[k], out + k * stride + gmm_width);
+      }
+      return gmm_width + jenks_width;
+    case EncodingMode::kCategorical: {
+      // Categories are sorted and distinct, so at most one matches; an
+      // unknown value (NaN included) sets the trailing "other" slot.
+      const std::vector<double>& cats = categories_[a];
+      for (size_t k = 0; k < n; ++k) {
+        const auto it = std::lower_bound(cats.begin(), cats.end(), xs[k]);
+        const bool known = it != cats.end() && *it == xs[k];
+        const auto slot =
+            known ? static_cast<size_t>(it - cats.begin()) : cats.size();
+        out[k * stride + slot] = 1.0;
+      }
+      return cats.size() + 1;
+    }
+    case EncodingMode::kAuto:
+      break;  // Resolved at Fit time; unreachable.
+  }
+  LTE_CHECK_MSG(false, "unresolved encoding mode");
+  return 0;
+}
+
 void TabularEncoder::EncodeValue(int64_t attr, double x,
                                  std::vector<double>* out) const {
-  const EncodingMode mode = AttributeMode(attr);
-  if (mode == EncodingMode::kMinMaxOnly) {
-    out->push_back(normalizer_.Transform(attr, x));
-    return;
-  }
-  const auto a = static_cast<size_t>(attr);
-  if (mode == EncodingMode::kCategorical) {
-    const std::vector<double>& cats = categories_[a];
-    const auto it = std::lower_bound(cats.begin(), cats.end(), x);
-    const bool known = it != cats.end() && *it == x;
-    for (size_t i = 0; i < cats.size(); ++i) {
-      out->push_back(known && cats[i] == x ? 1.0 : 0.0);
-    }
-    out->push_back(known ? 0.0 : 1.0);  // "other".
-    return;
-  }
-  if (mode == EncodingMode::kGmmOnly || mode == EncodingMode::kCombined) {
-    const int64_t c = gmms_[a].MostLikelyComponent(x);
-    for (int64_t i = 0; i < gmms_[a].num_components(); ++i) {
-      out->push_back(i == c ? 1.0 : 0.0);
-    }
-    out->push_back(gmms_[a].NormalizeWithin(c, x));
-  }
-  if (mode == EncodingMode::kJenksOnly || mode == EncodingMode::kCombined) {
-    const int64_t b = jenks_[a].IntervalOf(x);
-    for (int64_t i = 0; i < jenks_[a].num_intervals(); ++i) {
-      out->push_back(i == b ? 1.0 : 0.0);
-    }
-    out->push_back(jenks_[a].NormalizeWithin(b, x));
-  }
+  const size_t at = out->size();
+  out->resize(at + static_cast<size_t>(AttributeWidth(attr)), 0.0);
+  EncodeAttributeInto(attr, &x, 1, out->data() + at, 0);
 }
 
 std::vector<double> TabularEncoder::EncodeProjected(
@@ -206,10 +225,11 @@ void TabularEncoder::EncodeProjectedInto(const std::vector<double>& values,
                                          const std::vector<int64_t>& attrs,
                                          std::vector<double>* out) const {
   LTE_CHECK_EQ(values.size(), attrs.size());
-  out->clear();
-  out->reserve(static_cast<size_t>(ProjectedWidth(attrs)));
+  out->assign(static_cast<size_t>(ProjectedWidth(attrs)), 0.0);
+  size_t offset = 0;
   for (size_t i = 0; i < attrs.size(); ++i) {
-    EncodeValue(attrs[i], values[i], out);
+    offset += EncodeAttributeInto(attrs[i], &values[i], 1,
+                                  out->data() + offset, 0);
   }
 }
 
@@ -219,18 +239,23 @@ void TabularEncoder::EncodeGatheredInto(
     std::vector<double>* out) const {
   LTE_CHECK_EQ(columns.size(), attrs.size());
   const auto width = static_cast<size_t>(ProjectedWidth(attrs));
-  out->clear();
-  out->reserve(rows.size() * width);
-  // Same EncodeValue sequence per tuple as EncodeProjectedInto, so each
-  // row-major slice of `*out` is bit-identical to the row-at-a-time encode;
-  // the values just arrive from contiguous column views instead of a
-  // materialized row.
-  for (const int64_t r : rows) {
-    for (size_t j = 0; j < attrs.size(); ++j) {
-      EncodeValue(attrs[j], columns[j][r], out);
+  out->assign(rows.size() * width, 0.0);
+  // Attribute-major: gather one attribute's values for a serving block, then
+  // run the kernel over them into that attribute's slots of every row. A
+  // cell's bits depend only on its value and its attribute's model, so each
+  // row equals EncodeProjectedInto of the tuple.
+  constexpr size_t kChunk = 1024;
+  double xs[kChunk];
+  size_t offset = 0;
+  for (size_t j = 0; j < attrs.size(); ++j) {
+    for (size_t begin = 0; begin < rows.size(); begin += kChunk) {
+      const size_t n = std::min(kChunk, rows.size() - begin);
+      for (size_t k = 0; k < n; ++k) xs[k] = columns[j][rows[begin + k]];
+      EncodeAttributeInto(attrs[j], xs, n, out->data() + begin * width + offset,
+                          width);
     }
+    offset += static_cast<size_t>(AttributeWidth(attrs[j]));
   }
-  LTE_CHECK_EQ(out->size(), rows.size() * width);
 }
 
 std::vector<double> TabularEncoder::EncodeRow(
@@ -262,6 +287,7 @@ void TabularEncoder::Save(BinaryWriter* writer) const {
 }
 
 Status TabularEncoder::Load(BinaryReader* reader) {
+  fitted_ = false;  // A failed load leaves no half-loaded encoder servable.
   int64_t mode = 0;
   LTE_RETURN_IF_ERROR(reader->ReadI64(&mode));
   if (mode < 0 || mode > static_cast<int64_t>(EncodingMode::kAuto)) {
@@ -278,6 +304,9 @@ Status TabularEncoder::Load(BinaryReader* reader) {
     return Status::IoError("encoder load: invalid attribute count");
   }
   LTE_RETURN_IF_ERROR(normalizer_.Load(reader));
+  if (normalizer_.num_attributes() != num_attributes_) {
+    return Status::IoError("encoder load: normalizer width mismatch");
+  }
   gmms_.assign(static_cast<size_t>(num_attributes_), GaussianMixture{});
   jenks_.assign(static_cast<size_t>(num_attributes_), JenksBreaks{});
   attr_modes_.assign(static_cast<size_t>(num_attributes_), options_.mode);
@@ -288,14 +317,40 @@ Status TabularEncoder::Load(BinaryReader* reader) {
     int64_t attr_mode = 0;
     LTE_RETURN_IF_ERROR(reader->ReadI64(&attr_mode));
     if (attr_mode < 0 ||
-        attr_mode > static_cast<int64_t>(EncodingMode::kCategorical)) {
+        attr_mode > static_cast<int64_t>(EncodingMode::kCategorical) ||
+        attr_mode == static_cast<int64_t>(EncodingMode::kAuto)) {
       return Status::IoError("encoder load: invalid attribute mode");
     }
     attr_modes_[static_cast<size_t>(a)] = static_cast<EncodingMode>(attr_mode);
     LTE_RETURN_IF_ERROR(
         reader->ReadDoubleVector(&categories_[static_cast<size_t>(a)]));
+    LTE_RETURN_IF_ERROR(ValidateAttributeModels(a));
   }
   fitted_ = true;
+  return Status::OK();
+}
+
+Status TabularEncoder::ValidateAttributeModels(int64_t attr) const {
+  // The encode writes each model's slots at the widths AttributeWidth
+  // declares, so a loaded model must agree with them exactly.
+  const auto a = static_cast<size_t>(attr);
+  const EncodingMode mode = attr_modes_[a];
+  if ((mode == EncodingMode::kGmmOnly || mode == EncodingMode::kCombined) &&
+      (options_.num_gmm_components <= 0 ||
+       gmms_[a].num_components() != options_.num_gmm_components)) {
+    return Status::IoError("encoder load: gmm component count mismatch");
+  }
+  if ((mode == EncodingMode::kJenksOnly || mode == EncodingMode::kCombined) &&
+      (options_.num_jenks_intervals <= 0 ||
+       jenks_[a].num_intervals() != options_.num_jenks_intervals)) {
+    return Status::IoError("encoder load: jenks interval count mismatch");
+  }
+  const std::vector<double>& cats = categories_[a];
+  for (size_t i = 1; i < cats.size(); ++i) {
+    if (!(cats[i - 1] < cats[i])) {
+      return Status::IoError("encoder load: categories out of order");
+    }
+  }
   return Status::OK();
 }
 

@@ -102,10 +102,11 @@ class TabularEncoder {
   /// global row id. Writes the encodings row-major into the reusable scratch
   /// matrix `*out` (resized to `rows.size() x ProjectedWidth(attrs)`;
   /// capacity is retained across calls, so a reused buffer reaches a steady
-  /// state with zero allocations per block). Row k of `*out` is
-  /// bit-identical to EncodeProjectedInto of the k-th selected tuple — the
-  /// encode visits attributes in the same order with the same per-value
-  /// models.
+  /// state with zero allocations per block). The encode is attribute-major:
+  /// each attribute's mode is resolved once per block and its slots are
+  /// written in place into every row. Row k of `*out` is bit-identical to
+  /// EncodeProjectedInto of the k-th selected tuple, which runs the same
+  /// kernel on one value per attribute.
   void EncodeGatheredInto(const std::vector<data::ColumnView>& columns,
                           const std::vector<int64_t>& attrs,
                           std::span<const int64_t> rows,
@@ -121,6 +122,20 @@ class TabularEncoder {
   /// options().mode under kAuto).
   EncodingMode AttributeMode(int64_t attr) const;
 
+  /// The fitted per-attribute models. A model the attribute's mode does not
+  /// use is empty.
+  const MinMaxNormalizer& normalizer() const { return normalizer_; }
+  const GaussianMixture& gmm(int64_t attr) const {
+    return gmms_[static_cast<size_t>(attr)];
+  }
+  const JenksBreaks& jenks(int64_t attr) const {
+    return jenks_[static_cast<size_t>(attr)];
+  }
+  /// Kept category values (sorted) of a kCategorical attribute.
+  const std::vector<double>& categories(int64_t attr) const {
+    return categories_[static_cast<size_t>(attr)];
+  }
+
   /// Serialization (model persistence): options, per-attribute models, and
   /// resolved modes.
   void Save(BinaryWriter* writer) const;
@@ -128,6 +143,15 @@ class TabularEncoder {
 
  private:
   Status FitCategorical(int64_t attr, const std::vector<double>& values);
+  /// Load's check that attribute `attr`'s models match its declared width.
+  Status ValidateAttributeModels(int64_t attr) const;
+
+  /// The one encode kernel (Algorithm 3) behind every public encode: writes
+  /// attribute `attr`'s slots for the n values `xs`, the k-th at
+  /// `out + k * stride`, into storage the caller zero-filled (only the
+  /// one-hot and normalized slots are stored). Returns the attribute width.
+  size_t EncodeAttributeInto(int64_t attr, const double* xs, size_t n,
+                             double* out, size_t stride) const;
 
   EncoderOptions options_;
   bool fitted_ = false;

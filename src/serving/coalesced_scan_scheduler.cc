@@ -179,21 +179,30 @@ CoalescedScanScheduler::BatchOutcome CoalescedScanScheduler::RunBatch(
   // Union row domain of the batch, ascending. A retrieval subscribes to the
   // whole table, which the engine scans without an id list (positions are
   // row ids); otherwise the PredictRows requests' (validated) row sets.
+  // Every requested row was validated below num_rows() at submission and a
+  // live table only grows, so one mark per current row covers them all.
   bool whole_table = false;
   for (const Request* request : batch) whole_table |= request->retrieve;
-  std::vector<int64_t> union_rows;
+  const int64_t table_rows = table_->num_rows();
+  row_marks_.resize(static_cast<size_t>(table_rows), 0);
+  union_rows_.clear();
   if (!whole_table) {
+    // Distinct rows first, then sort only those: the cost follows the
+    // requests' rows, not their concatenation's sort.
     for (const Request* request : batch) {
-      union_rows.insert(union_rows.end(), request->sorted_rows.begin(),
-                        request->sorted_rows.end());
+      for (const int64_t r : request->sorted_rows) {
+        uint8_t& mark = row_marks_[static_cast<size_t>(r)];
+        if (mark == 0) {
+          mark = 1;
+          union_rows_.push_back(r);
+        }
+      }
     }
-    std::sort(union_rows.begin(), union_rows.end());
-    union_rows.erase(std::unique(union_rows.begin(), union_rows.end()),
-                     union_rows.end());
+    std::sort(union_rows_.begin(), union_rows_.end());
+    for (const int64_t r : union_rows_) row_marks_[static_cast<size_t>(r)] = 0;
   }
-  const int64_t domain_size = whole_table
-                                  ? table_->num_rows()
-                                  : static_cast<int64_t>(union_rows.size());
+  const int64_t domain_size =
+      whole_table ? table_rows : static_cast<int64_t>(union_rows_.size());
   LTE_CHECK_GT(domain_size, 0);  // Empty requests never reach a pass.
 
   subscribers_.clear();
@@ -208,28 +217,28 @@ CoalescedScanScheduler::BatchOutcome CoalescedScanScheduler::RunBatch(
   }
   BatchOutcome outcome;
   outcome.encode_passes =
-      scan_.Run(*table_, domain_size, union_rows, subscribers_,
+      scan_.Run(*table_, domain_size, union_rows_, subscribers_,
                 ResolveThreadCount(options_.num_threads));
 
   // Retrievals already hold their ascending, limit-truncated row ids.
-  // PredictRows verdicts go back to input order, duplicates included: every
-  // requested row is in the domain by construction.
+  // PredictRows verdicts go back to input order, duplicates included: mark
+  // the matched rows, read one mark per requested row, and clear the marks
+  // again for the next request.
   for (Request* request : batch) {
     if (request->retrieve) {
       outcome.rows_served += domain_size;
       continue;
     }
+    const auto row_of = [&](int64_t p) {
+      return static_cast<size_t>(
+          whole_table ? p : union_rows_[static_cast<size_t>(p)]);
+    };
+    for (const int64_t p : request->hits) row_marks_[row_of(p)] = 1;
     for (size_t i = 0; i < request->rows.size(); ++i) {
-      int64_t p = request->rows[i];
-      if (!whole_table) {
-        p = std::lower_bound(union_rows.begin(), union_rows.end(), p) -
-            union_rows.begin();
-      }
       (*request->predictions)[i] =
-          std::binary_search(request->hits.begin(), request->hits.end(), p)
-              ? 1.0
-              : 0.0;
+          row_marks_[static_cast<size_t>(request->rows[i])] != 0 ? 1.0 : 0.0;
     }
+    for (const int64_t p : request->hits) row_marks_[row_of(p)] = 0;
     outcome.rows_served += static_cast<int64_t>(request->rows.size());
   }
   return outcome;

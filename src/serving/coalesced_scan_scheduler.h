@@ -183,6 +183,10 @@ class CoalescedScanScheduler {
   /// touched only by the scheduler thread.
   core::BlockScan scan_;
   std::vector<core::ScanSubscriber> subscribers_;
+  std::vector<int64_t> union_rows_;  // A PredictRows batch's row domain.
+  /// One byte per table row, zero between uses: dedups a batch's rows and
+  /// maps matches back to each request's input order in linear time.
+  std::vector<uint8_t> row_marks_;
   std::thread scheduler_;                 // Last member: joins before the rest.
 };
 

@@ -3,9 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <utility>
 
 namespace lte::preprocess {
 namespace {
+
+// The (component, normalized value) pair EncodeInto writes for x.
+std::pair<int64_t, double> Encoded(const GaussianMixture& g, double x) {
+  std::vector<double> slots(static_cast<size_t>(g.num_components()) + 1, 0.0);
+  g.EncodeInto(x, slots.data());
+  const auto hot = std::find(slots.begin(), slots.end() - 1, 1.0);
+  return {hot - slots.begin(), slots.back()};
+}
 
 std::vector<double> BimodalSample(Rng* rng, int n_per_mode = 500) {
   std::vector<double> v;
@@ -40,8 +52,8 @@ TEST(GmmTest, MostLikelyComponentSeparatesModes) {
   const std::vector<double> v = BimodalSample(&rng);
   GaussianMixture g;
   ASSERT_TRUE(g.Fit(v, 2, &rng).ok());
-  EXPECT_NE(g.MostLikelyComponent(0.0), g.MostLikelyComponent(10.0));
-  EXPECT_EQ(g.MostLikelyComponent(0.2), g.MostLikelyComponent(-0.2));
+  EXPECT_NE(Encoded(g, 0.0).first, Encoded(g, 10.0).first);
+  EXPECT_EQ(Encoded(g, 0.2).first, Encoded(g, -0.2).first);
 }
 
 TEST(GmmTest, NormalizeWithinStaysInUnitInterval) {
@@ -50,14 +62,15 @@ TEST(GmmTest, NormalizeWithinStaysInUnitInterval) {
   GaussianMixture g;
   ASSERT_TRUE(g.Fit(v, 2, &rng).ok());
   for (double x : {-5.0, 0.0, 5.0, 10.0, 20.0}) {
-    const int64_t c = g.MostLikelyComponent(x);
-    const double n = g.NormalizeWithin(c, x);
+    const double n = Encoded(g, x).second;
     EXPECT_GE(n, 0.0);
     EXPECT_LE(n, 1.0);
   }
   // The component mean normalizes to the middle of its range.
-  const int64_t c = g.MostLikelyComponent(0.0);
-  EXPECT_NEAR(g.NormalizeWithin(c, g.components()[c].mean), 0.5, 1e-9);
+  const int64_t c = Encoded(g, 0.0).first;
+  const double mean = g.components()[static_cast<size_t>(c)].mean;
+  EXPECT_EQ(Encoded(g, mean).first, c);
+  EXPECT_NEAR(Encoded(g, mean).second, 0.5, 1e-9);
 }
 
 TEST(GmmTest, MixtureLikelihoodBeatsSingleGaussianOnBimodalData) {
@@ -82,10 +95,49 @@ TEST(GmmTest, ConstantDataDoesNotCrash) {
   const std::vector<double> v(100, 5.0);
   GaussianMixture g;
   ASSERT_TRUE(g.Fit(v, 2, &rng).ok());
-  EXPECT_EQ(g.MostLikelyComponent(5.0),
-            g.MostLikelyComponent(5.0));  // Stable.
-  const int64_t c = g.MostLikelyComponent(5.0);
-  EXPECT_GE(g.NormalizeWithin(c, 5.0), 0.0);
+  EXPECT_EQ(Encoded(g, 5.0), Encoded(g, 5.0));  // Stable.
+  EXPECT_GE(Encoded(g, 5.0).second, 0.0);
+}
+
+TEST(GmmTest, LoadRebuildsTheEncodeConstants) {
+  Rng rng(8);
+  const std::vector<double> v = BimodalSample(&rng);
+  GaussianMixture g;
+  ASSERT_TRUE(g.Fit(v, 3, &rng).ok());
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  g.Save(&w);
+  GaussianMixture loaded;
+  BinaryReader r(&buf);
+  ASSERT_TRUE(loaded.Load(&r).ok());
+  for (const double x : {-3.0, 0.0, 0.7, 5.0, 9.9, 10.0, 14.0}) {
+    std::vector<double> a(4, 0.0);
+    std::vector<double> b(4, 0.0);
+    g.EncodeInto(x, a.data());
+    loaded.EncodeInto(x, b.data());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), 4 * sizeof(double)), 0) << x;
+  }
+}
+
+TEST(GmmTest, LoadRejectsImplausibleComponentCount) {
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  w.WriteU64(uint64_t{1} << 61);  // Would be a 2^61-element allocation.
+  w.WriteDouble(1.0);
+  BinaryReader r(&buf);
+  GaussianMixture g;
+  EXPECT_EQ(g.Load(&r).code(), StatusCode::kIoError);
+}
+
+TEST(GmmTest, LoadOfTruncatedComponentsFailsCleanly) {
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  w.WriteU64(1000);  // Claims far more components than the stream holds.
+  for (int i = 0; i < 3; ++i) w.WriteDouble(1.0);
+  BinaryReader r(&buf);
+  GaussianMixture g;
+  EXPECT_FALSE(g.Load(&r).ok());
+  EXPECT_EQ(g.num_components(), 0);
 }
 
 }  // namespace

@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <utility>
+
 #include "common/rng.h"
 
 namespace lte::preprocess {
 namespace {
+
+// The (interval, normalized value) pair EncodeInto writes for x.
+std::pair<int64_t, double> Encoded(const JenksBreaks& j, double x) {
+  std::vector<double> slots(static_cast<size_t>(j.num_intervals()) + 1, 0.0);
+  j.EncodeInto(x, slots.data());
+  const auto hot = std::find(slots.begin(), slots.end() - 1, 1.0);
+  return {hot - slots.begin(), slots.back()};
+}
 
 TEST(JenksTest, FindsObviousBreaks) {
   // Three tight value groups.
@@ -16,9 +28,9 @@ TEST(JenksTest, FindsObviousBreaks) {
   JenksBreaks j;
   ASSERT_TRUE(j.Fit(v, 3).ok());
   EXPECT_EQ(j.num_intervals(), 3);
-  EXPECT_EQ(j.IntervalOf(1.1), 0);
-  EXPECT_EQ(j.IntervalOf(50.1), 1);
-  EXPECT_EQ(j.IntervalOf(100.1), 2);
+  EXPECT_EQ(Encoded(j, 1.1).first, 0);
+  EXPECT_EQ(Encoded(j, 50.1).first, 1);
+  EXPECT_EQ(Encoded(j, 100.1).first, 2);
   EXPECT_GT(j.goodness_of_fit(), 0.99);
 }
 
@@ -39,8 +51,8 @@ TEST(JenksTest, OutOfRangeClampsToEdgeIntervals) {
   std::vector<double> v = {1, 2, 3, 10, 11, 12};
   JenksBreaks j;
   ASSERT_TRUE(j.Fit(v, 2).ok());
-  EXPECT_EQ(j.IntervalOf(-100.0), 0);
-  EXPECT_EQ(j.IntervalOf(1000.0), 1);
+  EXPECT_EQ(Encoded(j, -100.0).first, 0);
+  EXPECT_EQ(Encoded(j, 1000.0).first, 1);
 }
 
 TEST(JenksTest, NormalizeWithinUnitInterval) {
@@ -48,19 +60,19 @@ TEST(JenksTest, NormalizeWithinUnitInterval) {
   JenksBreaks j;
   ASSERT_TRUE(j.Fit(v, 2).ok());
   for (double x : {-1.0, 0.0, 2.0, 7.0, 12.0, 20.0}) {
-    const int64_t i = j.IntervalOf(x);
-    const double n = j.NormalizeWithin(i, x);
+    const double n = Encoded(j, x).second;
     EXPECT_GE(n, 0.0);
     EXPECT_LE(n, 1.0);
   }
-  EXPECT_DOUBLE_EQ(j.NormalizeWithin(0, 2.0), 0.5);
+  EXPECT_EQ(Encoded(j, 2.0).first, 0);
+  EXPECT_DOUBLE_EQ(Encoded(j, 2.0).second, 0.5);
 }
 
 TEST(JenksTest, SingleInterval) {
   std::vector<double> v = {5, 6, 7};
   JenksBreaks j;
   ASSERT_TRUE(j.Fit(v, 1).ok());
-  EXPECT_EQ(j.IntervalOf(6.0), 0);
+  EXPECT_EQ(Encoded(j, 6.0).first, 0);
   EXPECT_DOUBLE_EQ(j.goodness_of_fit(), 0.0);  // No split, no gain.
 }
 
@@ -74,8 +86,8 @@ TEST(JenksTest, IdenticalValues) {
   std::vector<double> v(50, 42.0);
   JenksBreaks j;
   ASSERT_TRUE(j.Fit(v, 3).ok());
-  EXPECT_GE(j.IntervalOf(42.0), 0);
-  EXPECT_LT(j.IntervalOf(42.0), 3);
+  EXPECT_GE(Encoded(j, 42.0).first, 0);
+  EXPECT_LT(Encoded(j, 42.0).first, 3);
 }
 
 TEST(JenksTest, GoodnessImprovesWithMoreIntervals) {
@@ -87,6 +99,19 @@ TEST(JenksTest, GoodnessImprovesWithMoreIntervals) {
   ASSERT_TRUE(j2.Fit(v, 2).ok());
   ASSERT_TRUE(j8.Fit(v, 8).ok());
   EXPECT_GT(j8.goodness_of_fit(), j2.goodness_of_fit());
+}
+
+TEST(JenksTest, LoadRejectsUpperBoundsOutOfOrder) {
+  // EncodeInto counts the upper bounds below x, which finds the interval
+  // containing x only for non-decreasing bounds.
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  w.WriteDoubleVector({0.0, 5.0, 1.0});
+  w.WriteDoubleVector({4.0, 9.0, 2.0});
+  w.WriteDouble(0.5);
+  BinaryReader r(&buf);
+  JenksBreaks j;
+  EXPECT_EQ(j.Load(&r).code(), StatusCode::kIoError);
 }
 
 }  // namespace
