@@ -13,6 +13,7 @@
 // at every thread count.
 
 #include <cstdio>
+#include <memory>
 #include <numeric>
 
 #include "common/stopwatch.h"
@@ -35,8 +36,9 @@ struct OnlineSweepRow {
 /// the determinism contract as it goes: StartExploration (per-subspace
 /// adaptation lanes), PredictRows (batch scoring), and RetrieveMatches
 /// (order-preserving early-exit scan) must be bit-identical at every thread
-/// count. Pretrains once, saves, and reloads per thread count — LoadModel
-/// keeps the constructed num_threads, so only the fan-out differs.
+/// count. Pretrains once, saves, and loads the model once for serving; each
+/// thread count attaches a fresh session with that `num_threads` override,
+/// so only the fan-out differs.
 void RunOnlineThreads() {
   PrintHeader("Online serving wall clock w.r.t. threads");
   std::printf("hardware threads available: %lld\n",
@@ -48,8 +50,9 @@ void RunOnlineThreads() {
   Rng data_rng(11);
   const data::Table sdss = data::MakeSdssLike(rows, &data_rng);
 
-  core::ExplorerOptions opt = BaseRunnerOptions(1, ConvexPsi()).explorer;
-  core::Explorer pretrained(opt);
+  const core::ExplorerOptions opt =
+      BaseRunnerOptions(1, ConvexPsi()).explorer;
+  core::ExplorationModel pretrained(opt);
   Rng pretrain_rng(42);
   // Basic-variant serving: contexts + initial tuples only, no meta-training.
   if (!pretrained
@@ -64,15 +67,20 @@ void RunOnlineThreads() {
     std::printf("model save failed\n");
     return;
   }
+  auto model = std::make_shared<core::ExplorationModel>(opt);
+  if (!model->Load(model_path).ok()) {
+    std::printf("model load failed\n");
+    return;
+  }
 
   // Scripted labels: the same few-shot session replayed at every thread
   // count. Splitting each subspace at the mean of its initial tuples' first
   // coordinate guarantees mixed labels, so the adapted region is non-trivial
   // and RetrieveMatches has real matches to return.
   std::vector<std::vector<double>> labels(
-      static_cast<size_t>(pretrained.num_subspaces()));
-  for (int64_t s = 0; s < pretrained.num_subspaces(); ++s) {
-    const auto& tuples = *pretrained.InitialTuples(s);
+      static_cast<size_t>(model->num_subspaces()));
+  for (int64_t s = 0; s < model->num_subspaces(); ++s) {
+    const auto& tuples = *model->InitialTuples(s);
     double mean = 0.0;
     for (const auto& t : tuples) mean += t[0];
     mean /= static_cast<double>(tuples.size());
@@ -93,20 +101,13 @@ void RunOnlineThreads() {
   eval::TextTable table({"threads", "adapt (s)", "predict rows (s)",
                          "retrieve (s)", "retrieve speedup"});
   for (int64_t threads : sweep) {
-    core::ExplorerOptions serving_opt = opt;
-    serving_opt.num_threads = threads;
-    core::Explorer explorer(serving_opt);
-    if (!explorer.LoadModel(model_path).ok()) {
-      std::printf("model load failed at threads=%lld\n",
-                  static_cast<long long>(threads));
-      return;
-    }
+    core::ExplorationSession session(model, threads);
 
     OnlineSweepRow row;
     row.threads = threads;
     Rng online_rng(99);
     Stopwatch sw;
-    if (!explorer.StartExploration(labels, core::Variant::kBasic, &online_rng)
+    if (!session.StartExploration(labels, core::Variant::kBasic, &online_rng)
              .ok()) {
       std::printf("adaptation failed at threads=%lld\n",
                   static_cast<long long>(threads));
@@ -117,7 +118,7 @@ void RunOnlineThreads() {
     std::vector<double> preds;
     sw.Restart();
     for (int64_t r = 0; r < reps; ++r) {
-      if (!explorer.PredictRows(sdss, all_rows, &preds).ok()) {
+      if (!session.PredictRows(sdss, all_rows, &preds).ok()) {
         std::printf("PredictRows failed at threads=%lld\n",
                     static_cast<long long>(threads));
         return;
@@ -128,7 +129,7 @@ void RunOnlineThreads() {
     std::vector<int64_t> matches;
     sw.Restart();
     for (int64_t r = 0; r < reps; ++r) {
-      if (!explorer.RetrieveMatches(sdss, /*limit=*/-1, &matches).ok()) {
+      if (!session.RetrieveMatches(sdss, /*limit=*/-1, &matches).ok()) {
         std::printf("RetrieveMatches failed at threads=%lld\n",
                     static_cast<long long>(threads));
         return;
@@ -206,10 +207,10 @@ void RunOfflineThreads() {
     core::ExplorerOptions opt = BaseRunnerOptions(1, ConvexPsi()).explorer;
     opt.num_threads = threads;          // Subspace-level lanes.
     opt.trainer.num_threads = threads;  // Per-batch task lanes.
-    core::Explorer explorer(opt);
+    core::ExplorationModel model(opt);
     Rng rng(42);  // Same seed per row: identical work, identical model.
     Stopwatch sw;
-    if (!explorer
+    if (!model
              .Pretrain(sdss, SdssSubspaces(), /*train_meta=*/true, &rng)
              .ok()) {
       std::printf("pretrain failed at threads=%lld\n",

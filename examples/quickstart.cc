@@ -63,8 +63,8 @@ int main() {
               model->task_generation_seconds(), model->meta_training_seconds());
 
   // --- Online phase: one user's session; the scripted user labels the
-  // initial tuples. (A single-user program can equally use the Explorer
-  // facade, which bundles a model with one default session.) ---
+  // initial tuples. (A multi-user host attaches one session per user to
+  // the same model.) ---
   // Interest: per subspace, points whose first coordinate is below that
   // attribute's median (a half-plane per subspace, conjunctive across
   // subspaces — roughly a quarter of the data overall).

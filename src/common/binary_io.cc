@@ -1,9 +1,19 @@
 #include "common/binary_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
 namespace lte {
+
+namespace {
+
+/// Bytes a reader commits ahead of the stream: the first reserve is
+/// min(n, chunk) elements, so a sequence below the chunk allocates exactly
+/// once and a corrupt length costs at most one chunk before the read fails.
+constexpr uint64_t kReadChunkBytes = uint64_t{1} << 20;
+
+}  // namespace
 
 void BinaryWriter::WriteU64(uint64_t v) {
   char buf[8];
@@ -85,14 +95,28 @@ Status BinaryReader::ReadBool(bool* v) {
   return Status::OK();
 }
 
+template <typename Container>
+Status BinaryReader::ReadChunked(uint64_t n, Container* out) {
+  using T = typename Container::value_type;
+  constexpr uint64_t kChunk = kReadChunkBytes / sizeof(T);
+  out->clear();
+  out->reserve(static_cast<size_t>(std::min(n, kChunk)));
+  while (out->size() < n) {
+    const size_t done = out->size();
+    const size_t k = static_cast<size_t>(std::min<uint64_t>(n - done, kChunk));
+    out->resize(done + k);
+    LTE_RETURN_IF_ERROR(ReadBytes(out->data() + done, k * sizeof(T)));
+  }
+  return Status::OK();
+}
+
 Status BinaryReader::ReadString(std::string* s) {
   uint64_t n = 0;
   LTE_RETURN_IF_ERROR(ReadU64(&n));
   if (n > kMaxSerializedCount) {
     return Status::IoError("binary read: implausible string length");
   }
-  s->resize(n);
-  return n == 0 ? Status::OK() : ReadBytes(s->data(), n);
+  return ReadChunked(n, s);
 }
 
 Status BinaryReader::ReadDoubleVector(std::vector<double>* v) {
@@ -101,9 +125,7 @@ Status BinaryReader::ReadDoubleVector(std::vector<double>* v) {
   if (n > kMaxSerializedCount) {
     return Status::IoError("binary read: implausible vector length");
   }
-  v->resize(n);
-  for (auto& x : *v) LTE_RETURN_IF_ERROR(ReadDouble(&x));
-  return Status::OK();
+  return ReadChunked(n, v);
 }
 
 Status BinaryReader::ReadI64Vector(std::vector<int64_t>* v) {
@@ -112,9 +134,7 @@ Status BinaryReader::ReadI64Vector(std::vector<int64_t>* v) {
   if (n > kMaxSerializedCount) {
     return Status::IoError("binary read: implausible vector length");
   }
-  v->resize(n);
-  for (auto& x : *v) LTE_RETURN_IF_ERROR(ReadI64(&x));
-  return Status::OK();
+  return ReadChunked(n, v);
 }
 
 Status BinaryReader::ReadPointSet(std::vector<std::vector<double>>* points) {
@@ -123,8 +143,12 @@ Status BinaryReader::ReadPointSet(std::vector<std::vector<double>>* points) {
   if (n > kMaxSerializedCount) {
     return Status::IoError("binary read: implausible point-set size");
   }
-  points->resize(n);
-  for (auto& p : *points) LTE_RETURN_IF_ERROR(ReadDoubleVector(&p));
+  constexpr uint64_t kChunk = kReadChunkBytes / sizeof(std::vector<double>);
+  points->clear();
+  points->reserve(static_cast<size_t>(std::min(n, kChunk)));
+  for (uint64_t i = 0; i < n; ++i) {
+    LTE_RETURN_IF_ERROR(ReadDoubleVector(&points->emplace_back()));
+  }
   return Status::OK();
 }
 

@@ -46,6 +46,9 @@ uint64_t Fnv1a64(const void* data, size_t size);
 
 /// Largest element count a reader accepts for a length-prefixed sequence;
 /// a larger count is corruption and fails before anything is allocated.
+/// Below it, readers grow their output in bounded chunks as the stream
+/// yields elements, so a corrupt count runs into the end of the stream
+/// instead of allocating the declared length up front.
 inline constexpr uint64_t kMaxSerializedCount = uint64_t{1} << 32;
 
 class BinaryReader {
@@ -63,6 +66,10 @@ class BinaryReader {
 
  private:
   Status ReadBytes(void* dst, size_t n);
+  /// Reads `n` trivially copyable elements into `*out` (a vector or string),
+  /// growing it one bounded chunk at a time.
+  template <typename Container>
+  Status ReadChunked(uint64_t n, Container* out);
 
   std::istream* in_;
 };

@@ -108,7 +108,7 @@ Status ExplorationModel::Pretrain(const data::Table& table,
                                   const std::vector<data::Subspace>& subspaces,
                                   bool train_meta, Rng* rng) {
   if (subspaces.empty()) {
-    return Status::InvalidArgument("explorer: no subspaces");
+    return Status::InvalidArgument("model: no subspaces");
   }
   subspaces_ = subspaces;
   encoder_ = preprocess::TabularEncoder(options_.encoder);
@@ -198,18 +198,22 @@ void ExplorationModel::RecomputeFingerprint() {
 
 Status ExplorationModel::Save(const std::string& path) const {
   if (!pretrained_) {
-    return Status::FailedPrecondition("explorer: Save before Pretrain");
+    return Status::FailedPrecondition("model: Save before Pretrain");
   }
   std::ofstream out(path, std::ios::binary);
   if (!out.is_open()) {
     return Status::IoError("cannot open " + path + " for writing");
   }
-  return SaveToStream(&out);
+  LTE_RETURN_IF_ERROR(SaveToStream(&out));
+  // The final flush happens here, not in SaveToStream: check it too.
+  out.close();
+  if (out.fail()) return Status::IoError("write failure on " + path);
+  return Status::OK();
 }
 
 Status ExplorationModel::SaveToStream(std::ostream* out) const {
   if (!pretrained_) {
-    return Status::FailedPrecondition("explorer: Save before Pretrain");
+    return Status::FailedPrecondition("model: Save before Pretrain");
   }
   BinaryWriter w(out);
   w.WriteU64(kModelMagic);

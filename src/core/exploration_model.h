@@ -39,7 +39,7 @@ struct ExplorerOptions {
   /// (one lane per hardware thread), 1 = the exact sequential path, N caps
   /// the lanes (matching `MetaTrainerOptions`/`KMeansOptions`). Parallel
   /// training reads key-split `Rng::Fork(subspace_index)` streams and scans
-  /// collect into per-chunk slots concatenated in row order, so every result
+  /// concatenate their per-block results in row order, so every result
   /// is bit-identical at any thread count (see rng.h for the split scheme).
   int64_t num_threads = 0;
   /// Online fast-adaptation schedule. A larger learning rate than the
@@ -65,12 +65,13 @@ struct ExplorerOptions {
 /// synchronization. The build methods themselves are not thread-safe and
 /// must complete (on one thread) before the model is shared.
 ///
-/// `Explorer` wraps one model plus one default session for the single-user
-/// case; multi-user serving holds the model directly:
+/// Every caller holds the model through a shared handle and explores
+/// through sessions attached to it — one for a single-user program, one per
+/// concurrent user for a server:
 ///
-///   ExplorationModel model(options);
-///   model.Pretrain(table, subspaces, /*train_meta=*/true, &rng);
-///   // ...one ExplorationSession per concurrent user, all reading `model`.
+///   auto model = std::make_shared<ExplorationModel>(options);
+///   model->Pretrain(table, subspaces, /*train_meta=*/true, &rng);
+///   ExplorationSession session(model);  // ...one per user.
 class ExplorationModel {
  public:
   explicit ExplorationModel(ExplorerOptions options) : options_(options) {}
@@ -90,19 +91,18 @@ class ExplorationModel {
   /// Model persistence: writes the full pre-trained state (options, tabular
   /// encoder, per-subspace clustering contexts, initial tuples, and trained
   /// meta-learners) to `path`. Offline training and online serving can then
-  /// live in separate processes. Requires Pretrain to have run. The format
-  /// is shared with the legacy `Explorer::Save`/`LoadModel` surface — files
-  /// round-trip freely between the two.
+  /// live in separate processes. Requires Pretrain to have run. Fails with
+  /// IoError when any byte — the final flush included — cannot be written.
   Status Save(const std::string& path) const;
 
   /// Stream counterpart of Save (same format, no file handling).
   Status SaveToStream(std::ostream* out) const;
 
-  /// Restores a pre-trained model saved by `Save` (or by the `Explorer`
-  /// facade), replacing this instance's state. Sessions can start exploring
-  /// immediately; no re-clustering or re-training happens. The threading
-  /// knob (`num_threads`) is a property of the serving host, not of the
-  /// model, so the constructed value survives the load. Build method: must
+  /// Restores a pre-trained model saved by `Save`, replacing this
+  /// instance's state. Sessions can start exploring immediately; no
+  /// re-clustering or re-training happens. The threading knob
+  /// (`num_threads`) is a property of the serving host, not of the model,
+  /// so the constructed value survives the load. Build method: must
   /// not race with any other use of this model.
   Status Load(const std::string& path);
 

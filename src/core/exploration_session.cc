@@ -71,7 +71,11 @@ Status ExplorationSession::Save(const std::string& path) const {
   if (!out.is_open()) {
     return Status::IoError("cannot open " + path + " for writing");
   }
-  return SaveToStream(&out);
+  LTE_RETURN_IF_ERROR(SaveToStream(&out));
+  // The final flush happens here, not in SaveToStream: check it too.
+  out.close();
+  if (out.fail()) return Status::IoError("write failure on " + path);
+  return Status::OK();
 }
 
 Status ExplorationSession::SaveToStream(std::ostream* out) const {
@@ -223,12 +227,14 @@ Status ExplorationSession::LoadFromStreamImpl(std::istream* in) {
     }
     uint64_t num_batches = 0;
     LTE_RETURN_IF_ERROR(r.ReadU64(&num_batches));
-    if (num_batches > (uint64_t{1} << 32)) {
+    if (num_batches > kMaxSerializedCount) {
       return Status::IoError("session load: implausible history length");
     }
     const size_t width = model_->subspace(s)->attribute_indices.size();
-    state.history.resize(static_cast<size_t>(num_batches));
-    for (LabeledBatch& batch : state.history) {
+    // Grow as the stream yields batches: a corrupt count runs into the end
+    // of the stream instead of allocating up front.
+    for (uint64_t b = 0; b < num_batches; ++b) {
+      LabeledBatch& batch = state.history.emplace_back();
       LTE_RETURN_IF_ERROR(r.ReadPointSet(&batch.points));
       LTE_RETURN_IF_ERROR(r.ReadDoubleVector(&batch.labels));
       if (batch.points.empty() || batch.points.size() != batch.labels.size()) {

@@ -91,11 +91,11 @@ enum class ScanPath {
 /// model is reclaimed when the last handle drops. The model must not be
 /// mutated (Pretrain/Load) while any session is attached.
 ///
-/// Misuse-error contract (same as the `Explorer` facade): the query surface
-/// never aborts on out-of-range or premature calls. Predictions return
-/// std::nullopt, and the batch/retrieval entry points return a Status — an
-/// LTE_CHECK abort is reachable only through genuine internal invariant
-/// violations, not through caller mistakes.
+/// Misuse-error contract: the query surface never aborts on out-of-range or
+/// premature calls. Predictions return std::nullopt, and the batch/retrieval
+/// entry points return a Status — an LTE_CHECK abort is reachable only
+/// through genuine internal invariant violations, not through caller
+/// mistakes.
 class ExplorationSession {
  public:
   /// Attaches to `model` (shared with any number of other sessions; must be
@@ -248,7 +248,8 @@ class ExplorationSession {
   /// optimizer is not serialized: it is a pure function of the clustering
   /// context and the initial center labels, so Load rebuilds it from the
   /// recorded history. Requires the model to be pretrained; an unstarted
-  /// session saves fine (and restores to an unstarted session).
+  /// session saves fine (and restores to an unstarted session). Fails with
+  /// IoError when any byte — the final flush included — cannot be written.
   Status Save(const std::string& path) const;
 
   /// Stream counterpart of Save (same format, no file handling).

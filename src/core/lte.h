@@ -17,15 +17,14 @@
 ///     (`core::ExplorationModel::InitialTuples`), `StartExploration`
 ///     fast-adapts the meta-learners and (for the Meta* variant) the FP/FN
 ///     optimizer, after which `PredictRow`/`RetrieveMatches` answer UIR
-///     membership for arbitrary tuples.
-///   * `core::Explorer` bundles one model with one default session for the
-///     single-user case.
+///     membership for arbitrary tuples. A single-user program holds one
+///     model and one session; a multi-user host attaches one session per
+///     user to the same model.
 ///
 /// See examples/quickstart.cc for a complete walkthrough.
 
 #include "core/exploration_model.h"    // IWYU pragma: export
 #include "core/exploration_session.h"  // IWYU pragma: export
-#include "core/explorer.h"       // IWYU pragma: export
 #include "core/meta_learner.h"   // IWYU pragma: export
 #include "core/meta_task.h"      // IWYU pragma: export
 #include "core/meta_trainer.h"   // IWYU pragma: export

@@ -180,7 +180,7 @@ class TaskModel {
 /// `CreateTaskModel` instantiates the task-wise classifier
 /// (θ_R = φ_R − σ·ω_R with ω_R = a_R^T M_R; θ_τ = φ_τ; θ_clf = φ_clf;
 /// M_cp = a_R^T M_CP), which the caller adapts on labelled tuples — the
-/// meta-trainer offline, the explorer online.
+/// meta-trainer offline, the exploration session online.
 class MetaLearner {
  public:
   MetaLearner(MetaLearnerOptions options, Rng* rng);

@@ -175,10 +175,4 @@ Status SynthesizeQuery(const ExplorationSession& session,
   return Status::OK();
 }
 
-Status SynthesizeQuery(const Explorer& explorer,
-                       const QuerySynthesisOptions& options,
-                       SynthesizedQuery* query) {
-  return SynthesizeQuery(explorer.session(), options, query);
-}
-
 }  // namespace lte::core

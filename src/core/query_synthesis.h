@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/explorer.h"
+#include "core/exploration_session.h"
 #include "preprocess/normalizer.h"
 #include "tree/decision_tree.h"
 
@@ -44,12 +44,12 @@ struct SynthesizedQuery {
   std::vector<SubspaceClause> clauses;
 
   /// Evaluates the predicate on a full-width row (same coordinate space the
-  /// explorer predicts in, i.e. normalized).
+  /// session predicts in, i.e. normalized).
   bool Matches(const std::vector<double>& row) const;
 
   /// Renders `SELECT * FROM <table> WHERE ...`. `attribute_names` maps
   /// attribute indices to column names. When `denormalizer` is non-null the
-  /// bounds are mapped back to raw attribute values (the explorer operates
+  /// bounds are mapped back to raw attribute values (the session operates
   /// on normalized data, but the user's SQL should not).
   std::string ToSql(const std::string& table_name,
                     const std::vector<std::string>& attribute_names,
@@ -64,11 +64,6 @@ struct SynthesizedQuery {
 /// adapted classifier, fits a CART to those labels, and reads the positive
 /// leaves off as boxes. Fails unless StartExploration has run.
 Status SynthesizeQuery(const ExplorationSession& session,
-                       const QuerySynthesisOptions& options,
-                       SynthesizedQuery* query);
-
-/// Facade convenience: synthesizes from `explorer`'s default session.
-Status SynthesizeQuery(const Explorer& explorer,
                        const QuerySynthesisOptions& options,
                        SynthesizedQuery* query);
 

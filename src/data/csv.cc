@@ -110,7 +110,9 @@ Status WriteCsv(const Table& table, const std::string& path) {
     }
     out << '\n';
   }
-  if (!out.good()) {
+  // Close before checking: the final flush can fail too (e.g. ENOSPC).
+  out.close();
+  if (out.fail()) {
     return Status::IoError("write failure on " + path);
   }
   return Status::OK();

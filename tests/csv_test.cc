@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 namespace lte::data {
@@ -33,6 +34,18 @@ TEST_F(CsvTest, RoundTrip) {
   EXPECT_EQ(loaded.AttributeNames(), (std::vector<std::string>{"x", "y"}));
   EXPECT_DOUBLE_EQ(loaded.column(0).value(0), 1.5);
   EXPECT_DOUBLE_EQ(loaded.column(1).value(1), 4.0);
+}
+
+// /dev/full accepts the open and every buffered write, then fails the
+// flush with ENOSPC: a table small enough to sit in the stream buffer must
+// still report the failure instead of OK.
+TEST_F(CsvTest, WriteReportsFailedFinalFlush) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  Table t({"x", "y"});
+  ASSERT_TRUE(t.AppendRow({1.5, -2.0}).ok());
+  EXPECT_EQ(WriteCsv(t, "/dev/full").code(), StatusCode::kIoError);
 }
 
 TEST_F(CsvTest, MissingFileIsIoError) {

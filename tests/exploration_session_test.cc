@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/exploration_model.h"
-#include "core/explorer.h"
 #include "data/synthetic.h"
 
 namespace lte::core {
@@ -158,45 +157,6 @@ TEST_F(ExplorationSessionTest, ConcurrentSessionsMatchSequentialRuns) {
   // Distinct users genuinely explored distinct regions (the test would be
   // vacuous if every outcome were identical).
   EXPECT_NE(sequential[0], sequential[2]);
-}
-
-// The facade must be indistinguishable from a hand-rolled model + session
-// with the same seeds.
-TEST_F(ExplorationSessionTest, FacadeMatchesStandaloneSession) {
-  Explorer facade(SmallExplorerOptions());
-  Rng facade_rng(23);
-  ASSERT_TRUE(
-      facade.Pretrain(table_, subspaces_, /*train_meta=*/true, &facade_rng)
-          .ok());
-
-  const std::vector<std::vector<double>> labels = UserLabels(1);
-
-  Rng facade_online(7);
-  ASSERT_TRUE(
-      facade.StartExploration(labels, Variant::kMetaStar, &facade_online)
-          .ok());
-
-  // model_ was pretrained with the same Rng(23) stream in SetUp, so the
-  // initial tuples (and labels) line up.
-  ExplorationSession session(model_);
-  Rng session_online(7);
-  ASSERT_TRUE(
-      session.StartExploration(labels, Variant::kMetaStar, &session_online)
-          .ok());
-
-  std::vector<int64_t> rows(300);
-  std::iota(rows.begin(), rows.end(), 0);
-  std::vector<double> facade_preds;
-  std::vector<double> session_preds;
-  ASSERT_TRUE(facade.PredictRows(table_, rows, &facade_preds).ok());
-  ASSERT_TRUE(session.PredictRows(table_, rows, &session_preds).ok());
-  EXPECT_EQ(facade_preds, session_preds);
-
-  std::vector<int64_t> facade_matches;
-  std::vector<int64_t> session_matches;
-  ASSERT_TRUE(facade.RetrieveMatches(table_, 50, &facade_matches).ok());
-  ASSERT_TRUE(session.RetrieveMatches(table_, 50, &session_matches).ok());
-  EXPECT_EQ(facade_matches, session_matches);
 }
 
 TEST_F(ExplorationSessionTest, SessionThreadOverrideIsResultInvariant) {

@@ -1,14 +1,18 @@
-#include "core/explorer.h"
+// The single-user exploration surface: one ExplorationModel pretrained
+// offline plus one ExplorationSession exploring it online.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
 
+#include "core/exploration_model.h"
+#include "core/exploration_session.h"
 #include "data/synthetic.h"
 
 namespace lte::core {
@@ -46,21 +50,28 @@ class ExplorerTest : public ::testing::Test {
     subspaces_ = {data::Subspace{{0, 1}}, data::Subspace{{2, 3}}};
   }
 
+  /// A model over the fixture table, pretrained from the fixture rng.
+  std::shared_ptr<ExplorationModel> Pretrained(
+      bool train_meta, const ExplorerOptions& opt = SmallExplorerOptions()) {
+    auto model = std::make_shared<ExplorationModel>(opt);
+    EXPECT_TRUE(
+        model->Pretrain(table_, subspaces_, train_meta, rng_.get()).ok());
+    return model;
+  }
+
   std::unique_ptr<Rng> rng_;
   data::Table table_;
   std::vector<data::Subspace> subspaces_;
 };
 
 TEST_F(ExplorerTest, PretrainWithoutMetaPreparesContexts) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(ex.Pretrain(table_, subspaces_, /*train_meta=*/false,
-                          rng_.get())
-                  .ok());
-  EXPECT_EQ(ex.num_subspaces(), 2);
-  EXPECT_FALSE(ex.meta_trained());
-  ASSERT_NE(ex.InitialTuples(0), nullptr);
-  EXPECT_EQ(ex.InitialTuples(0)->size(), 15u);  // k_s + delta.
-  EXPECT_DOUBLE_EQ(ex.meta_training_seconds(), 0.0);
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  EXPECT_EQ(model->num_subspaces(), 2);
+  EXPECT_FALSE(model->meta_trained());
+  ASSERT_NE(model->InitialTuples(0), nullptr);
+  EXPECT_EQ(model->InitialTuples(0)->size(), 15u);  // k_s + delta.
+  EXPECT_DOUBLE_EQ(model->meta_training_seconds(), 0.0);
 }
 
 TEST_F(ExplorerTest, OfflineTrainingIsThreadCountInvariant) {
@@ -72,14 +83,14 @@ TEST_F(ExplorerTest, OfflineTrainingIsThreadCountInvariant) {
     ExplorerOptions opt = SmallExplorerOptions();
     opt.num_threads = threads;
     opt.trainer.num_threads = threads;
-    Explorer ex(opt);
+    ExplorationModel model(opt);
     Rng rng(23);
     EXPECT_TRUE(
-        ex.Pretrain(table_, subspaces_, /*train_meta=*/true, &rng).ok());
+        model.Pretrain(table_, subspaces_, /*train_meta=*/true, &rng).ok());
     const std::string path =
         testing::TempDir() + "lte_threads_" + std::to_string(threads) +
         ".ltemodel";
-    EXPECT_TRUE(ex.Save(path).ok());
+    EXPECT_TRUE(model.Save(path).ok());
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
@@ -91,125 +102,128 @@ TEST_F(ExplorerTest, OfflineTrainingIsThreadCountInvariant) {
 }
 
 TEST_F(ExplorerTest, MetaVariantRequiresMetaTraining) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  ExplorationSession session(model);
   std::vector<std::vector<double>> labels(2);
   for (int s = 0; s < 2; ++s) {
-    labels[static_cast<size_t>(s)].assign(ex.InitialTuples(s)->size(), 0.0);
+    labels[static_cast<size_t>(s)].assign(model->InitialTuples(s)->size(),
+                                          0.0);
     labels[static_cast<size_t>(s)][0] = 1.0;
   }
   const Status status =
-      ex.StartExploration(labels, Variant::kMeta, rng_.get());
+      session.StartExploration(labels, Variant::kMeta, rng_.get());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   // Basic works without meta-training.
-  EXPECT_TRUE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  EXPECT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
 }
 
 TEST_F(ExplorerTest, EndToEndBasicExploration) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  ExplorationSession session(model);
 
   // Ground truth: interesting iff attr0 below its median (per subspace 0)
   // — a simple axis-aligned region.
   const double median0 = 0.5 * (table_.column(0).min() + table_.column(0).max());
   std::vector<std::vector<double>> labels(2);
   for (int s = 0; s < 2; ++s) {
-    for (const auto& tuple : *ex.InitialTuples(s)) {
+    for (const auto& tuple : *model->InitialTuples(s)) {
       const bool interesting = s == 0 ? tuple[0] < median0 : true;
       labels[static_cast<size_t>(s)].push_back(interesting ? 1.0 : 0.0);
     }
   }
-  ASSERT_TRUE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
-  EXPECT_EQ(ex.active_subspaces(), 2);
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  EXPECT_EQ(session.active_subspaces(), 2);
 
   // Prediction shape checks on arbitrary rows.
   for (int64_t r = 0; r < 10; ++r) {
-    const double p = ex.PredictRow(table_.Row(r)).value_or(-1.0);
+    const double p = session.PredictRow(table_.Row(r)).value_or(-1.0);
     EXPECT_TRUE(p == 0.0 || p == 1.0);
   }
 }
 
 TEST_F(ExplorerTest, MetaAndMetaStarExploration) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/true, rng_.get()).ok());
-  EXPECT_TRUE(ex.meta_trained());
-  EXPECT_GT(ex.meta_training_seconds(), 0.0);
-  EXPECT_GT(ex.task_generation_seconds(), 0.0);
+  const auto model = Pretrained(/*train_meta=*/true);
+  ASSERT_TRUE(model->pretrained());
+  EXPECT_TRUE(model->meta_trained());
+  EXPECT_GT(model->meta_training_seconds(), 0.0);
+  EXPECT_GT(model->task_generation_seconds(), 0.0);
+  ExplorationSession session(model);
 
   std::vector<std::vector<double>> labels(2);
   for (int s = 0; s < 2; ++s) {
-    for (const auto& tuple : *ex.InitialTuples(s)) {
+    for (const auto& tuple : *model->InitialTuples(s)) {
       labels[static_cast<size_t>(s)].push_back(tuple[0] < 5.0 ? 1.0 : 0.0);
     }
   }
-  ASSERT_TRUE(ex.StartExploration(labels, Variant::kMeta, rng_.get()).ok());
-  const double meta_pred = ex.PredictRow(table_.Row(0)).value_or(-1.0);
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kMeta, rng_.get()).ok());
+  const double meta_pred = session.PredictRow(table_.Row(0)).value_or(-1.0);
   EXPECT_TRUE(meta_pred == 0.0 || meta_pred == 1.0);
 
   ASSERT_TRUE(
-      ex.StartExploration(labels, Variant::kMetaStar, rng_.get()).ok());
+      session.StartExploration(labels, Variant::kMetaStar, rng_.get()).ok());
   // Meta*'s FP repair: a far-away point must be negative.
   std::vector<double> far_row = {1e6, 1e6, 1e6, 1e6};
-  EXPECT_DOUBLE_EQ(ex.PredictRow(far_row).value_or(-1.0), 0.0);
+  EXPECT_DOUBLE_EQ(session.PredictRow(far_row).value_or(-1.0), 0.0);
 }
 
 TEST_F(ExplorerTest, PrefixExploration) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  ExplorationSession session(model);
   std::vector<std::vector<double>> labels(1);
-  labels[0].assign(ex.InitialTuples(0)->size(), 1.0);
-  ASSERT_TRUE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
-  EXPECT_EQ(ex.active_subspaces(), 1);
+  labels[0].assign(model->InitialTuples(0)->size(), 1.0);
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  EXPECT_EQ(session.active_subspaces(), 1);
   // PredictRow conjoins only the first subspace.
-  const double p = ex.PredictRow(table_.Row(0)).value_or(-1.0);
+  const double p = session.PredictRow(table_.Row(0)).value_or(-1.0);
   EXPECT_TRUE(p == 0.0 || p == 1.0);
 }
 
 TEST_F(ExplorerTest, LabelShapeMismatchRejected) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  ExplorationSession session(model);
   std::vector<std::vector<double>> labels(2);
   labels[0].assign(3, 1.0);  // Wrong size.
-  labels[1].assign(ex.InitialTuples(1)->size(), 1.0);
-  EXPECT_FALSE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  labels[1].assign(model->InitialTuples(1)->size(), 1.0);
+  EXPECT_FALSE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
   // Too many label sets.
   std::vector<std::vector<double>> too_many(3);
   EXPECT_FALSE(
-      ex.StartExploration(too_many, Variant::kBasic, rng_.get()).ok());
+      session.StartExploration(too_many, Variant::kBasic, rng_.get()).ok());
 }
 
 TEST_F(ExplorerTest, EncoderOptionsPropagate) {
   ExplorerOptions opt = SmallExplorerOptions();
   opt.encoder.mode = preprocess::EncodingMode::kMinMaxOnly;
-  Explorer minmax(opt);
-  ASSERT_TRUE(
-      minmax.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get())
-          .ok());
+  const auto minmax = Pretrained(/*train_meta=*/false, opt);
+  ASSERT_TRUE(minmax->pretrained());
   // Min-max encoding is one value per attribute.
-  EXPECT_EQ(minmax.encoder().ProjectedWidth({0, 1}), 2);
+  EXPECT_EQ(minmax->encoder().ProjectedWidth({0, 1}), 2);
 
   opt.encoder.mode = preprocess::EncodingMode::kCombined;
-  Explorer combined(opt);
-  ASSERT_TRUE(
-      combined.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get())
-          .ok());
-  EXPECT_GT(combined.encoder().ProjectedWidth({0, 1}), 2);
+  const auto combined = Pretrained(/*train_meta=*/false, opt);
+  ASSERT_TRUE(combined->pretrained());
+  EXPECT_GT(combined->encoder().ProjectedWidth({0, 1}), 2);
 }
 
 TEST_F(ExplorerTest, SuggestTuplesRanksByUncertainty) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  ExplorationSession session(model);
   std::vector<std::vector<double>> labels(1);
-  for (const auto& t : *ex.InitialTuples(0)) {
+  for (const auto& t : *model->InitialTuples(0)) {
     labels[0].push_back(t[0] < 5.0 ? 1.0 : 0.0);
   }
-  ASSERT_TRUE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
 
   std::vector<std::vector<double>> candidates;
   for (int64_t r = 0; r < 200; ++r) {
@@ -217,7 +231,7 @@ TEST_F(ExplorerTest, SuggestTuplesRanksByUncertainty) {
     candidates.push_back({row[0], row[1]});
   }
   std::vector<int64_t> picked;
-  ASSERT_TRUE(ex.SuggestTuples(0, candidates, 5, &picked).ok());
+  ASSERT_TRUE(session.SuggestTuples(0, candidates, 5, &picked).ok());
   ASSERT_EQ(picked.size(), 5u);
   // Every index valid and distinct.
   std::set<int64_t> uniq(picked.begin(), picked.end());
@@ -227,20 +241,21 @@ TEST_F(ExplorerTest, SuggestTuplesRanksByUncertainty) {
     EXPECT_LT(i, 200);
   }
   // k larger than the candidate set clamps.
-  ASSERT_TRUE(ex.SuggestTuples(0, candidates, 1000, &picked).ok());
+  ASSERT_TRUE(session.SuggestTuples(0, candidates, 1000, &picked).ok());
   EXPECT_EQ(picked.size(), 200u);
 }
 
 TEST_F(ExplorerTest, ContinueExplorationRefinesModel) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  ExplorationSession session(model);
   const double threshold = 5.0;
   std::vector<std::vector<double>> labels(1);
-  for (const auto& t : *ex.InitialTuples(0)) {
+  for (const auto& t : *model->InitialTuples(0)) {
     labels[0].push_back(t[0] < threshold ? 1.0 : 0.0);
   }
-  ASSERT_TRUE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
 
   // Accuracy over a probe set before and after extra labelled rounds.
   auto accuracy = [&]() {
@@ -249,7 +264,7 @@ TEST_F(ExplorerTest, ContinueExplorationRefinesModel) {
       const std::vector<double> row = table_.Row(r);
       const std::vector<double> p = {row[0], row[1]};
       const double truth = p[0] < threshold ? 1.0 : 0.0;
-      if (ex.PredictSubspace(0, p).value_or(-1.0) == truth) ++correct;
+      if (session.PredictSubspace(0, p).value_or(-1.0) == truth) ++correct;
     }
     return static_cast<double>(correct) / 600.0;
   };
@@ -263,48 +278,51 @@ TEST_F(ExplorerTest, ContinueExplorationRefinesModel) {
     extra_labels.push_back(row[0] < threshold ? 1.0 : 0.0);
   }
   ASSERT_TRUE(
-      ex.ContinueExploration(0, points, extra_labels, rng_.get()).ok());
+      session.ContinueExploration(0, points, extra_labels, rng_.get()).ok());
   EXPECT_GE(accuracy(), before - 0.05);  // Must not collapse...
   EXPECT_GT(accuracy(), 0.7);            // ...and should be decent.
 
   // Invalid uses.
-  EXPECT_FALSE(ex.ContinueExploration(5, points, extra_labels, rng_.get())
+  EXPECT_FALSE(session.ContinueExploration(5, points, extra_labels, rng_.get())
                    .ok());  // Inactive subspace.
-  EXPECT_FALSE(ex.ContinueExploration(0, points, {1.0}, rng_.get()).ok());
-  EXPECT_FALSE(ex.ContinueExploration(0, {}, {}, rng_.get()).ok());
+  EXPECT_FALSE(
+      session.ContinueExploration(0, points, {1.0}, rng_.get()).ok());
+  EXPECT_FALSE(session.ContinueExploration(0, {}, {}, rng_.get()).ok());
   // Null rng is a misuse error, not a crash (regression).
-  EXPECT_FALSE(ex.ContinueExploration(0, points, extra_labels, nullptr).ok());
-  // The facade still serves queries after the rejected call.
-  EXPECT_TRUE(ex.PredictSubspace(0, {1.0, 1.0}).has_value());
+  EXPECT_FALSE(
+      session.ContinueExploration(0, points, extra_labels, nullptr).ok());
+  // The session still serves queries after the rejected call.
+  EXPECT_TRUE(session.PredictSubspace(0, {1.0, 1.0}).has_value());
 }
 
 TEST_F(ExplorerTest, RetrieveMatchesReturnsPredictedRows) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  ExplorationSession session(model);
   std::vector<std::vector<double>> labels(2);
   for (int s = 0; s < 2; ++s) {
-    for (const auto& t : *ex.InitialTuples(s)) {
+    for (const auto& t : *model->InitialTuples(s)) {
       labels[static_cast<size_t>(s)].push_back(t[0] < 5.0 ? 1.0 : 0.0);
     }
   }
-  ASSERT_TRUE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
   std::vector<int64_t> matches;
-  ASSERT_TRUE(ex.RetrieveMatches(table_, /*limit=*/-1, &matches).ok());
+  ASSERT_TRUE(session.RetrieveMatches(table_, /*limit=*/-1, &matches).ok());
   for (int64_t r : matches) {
-    EXPECT_DOUBLE_EQ(ex.PredictRow(table_.Row(r)).value_or(-1.0), 1.0);
+    EXPECT_DOUBLE_EQ(session.PredictRow(table_.Row(r)).value_or(-1.0), 1.0);
   }
   // A limit caps and preserves the prefix.
   if (matches.size() > 3) {
     std::vector<int64_t> limited;
-    ASSERT_TRUE(ex.RetrieveMatches(table_, 3, &limited).ok());
+    ASSERT_TRUE(session.RetrieveMatches(table_, 3, &limited).ok());
     ASSERT_EQ(limited.size(), 3u);
     EXPECT_EQ(limited[0], matches[0]);
     EXPECT_EQ(limited[2], matches[2]);
   }
   // limit == 0 is an empty result, not "scan everything".
   std::vector<int64_t> none = {123};
-  ASSERT_TRUE(ex.RetrieveMatches(table_, 0, &none).ok());
+  ASSERT_TRUE(session.RetrieveMatches(table_, 0, &none).ok());
   EXPECT_TRUE(none.empty());
 }
 
@@ -313,51 +331,55 @@ TEST_F(ExplorerTest, OneDimensionalSubspaceEndToEnd) {
   data::Table table = data::MakeBlobs(4000, 5, 4, rng_.get());
   std::vector<data::Subspace> subspaces = {
       data::Subspace{{0, 1}}, data::Subspace{{2, 3}}, data::Subspace{{4}}};
-  Explorer ex(SmallExplorerOptions());
+  auto model = std::make_shared<ExplorationModel>(SmallExplorerOptions());
   ASSERT_TRUE(
-      ex.Pretrain(table, subspaces, /*train_meta=*/true, rng_.get()).ok());
+      model->Pretrain(table, subspaces, /*train_meta=*/true, rng_.get()).ok());
+  ExplorationSession session(model);
   std::vector<std::vector<double>> labels(3);
   for (int s = 0; s < 3; ++s) {
-    for (const auto& t : *ex.InitialTuples(s)) {
+    for (const auto& t : *model->InitialTuples(s)) {
       labels[static_cast<size_t>(s)].push_back(t[0] < 5.0 ? 1.0 : 0.0);
     }
   }
   ASSERT_TRUE(
-      ex.StartExploration(labels, Variant::kMetaStar, rng_.get()).ok());
+      session.StartExploration(labels, Variant::kMetaStar, rng_.get()).ok());
   for (int64_t r = 0; r < 20; ++r) {
-    const double p = ex.PredictRow(table.Row(r)).value_or(-1.0);
+    const double p = session.PredictRow(table.Row(r)).value_or(-1.0);
     EXPECT_TRUE(p == 0.0 || p == 1.0);
   }
 }
 
 TEST_F(ExplorerTest, StartBeforePretrainFails) {
-  Explorer ex(SmallExplorerOptions());
-  EXPECT_EQ(ex.StartExploration({{1.0}}, Variant::kBasic, rng_.get()).code(),
-            StatusCode::kFailedPrecondition);
+  ExplorationSession session(
+      std::make_shared<ExplorationModel>(SmallExplorerOptions()));
+  EXPECT_EQ(
+      session.StartExploration({{1.0}}, Variant::kBasic, rng_.get()).code(),
+      StatusCode::kFailedPrecondition);
 }
 
 class ExplorerOnlineParallelTest : public ExplorerTest {
  protected:
-  // A pretrained + adapted explorer at the given online thread count. Every
-  // call pretrains from the same seed, so two instances differ only in the
+  // A pretrained + adapted session at the given online thread count. Every
+  // call pretrains from the same seed, so two sessions differ only in the
   // number of pool lanes their online path may use.
-  std::unique_ptr<Explorer> AdaptedExplorer(int64_t threads) {
+  std::unique_ptr<ExplorationSession> AdaptedSession(int64_t threads) {
     ExplorerOptions opt = SmallExplorerOptions();
     opt.num_threads = threads;
-    auto ex = std::make_unique<Explorer>(opt);
+    auto model = std::make_shared<ExplorationModel>(opt);
     Rng rng(23);
     EXPECT_TRUE(
-        ex->Pretrain(table_, subspaces_, /*train_meta=*/false, &rng).ok());
+        model->Pretrain(table_, subspaces_, /*train_meta=*/false, &rng).ok());
+    auto session = std::make_unique<ExplorationSession>(model);
     std::vector<std::vector<double>> labels(2);
     for (int s = 0; s < 2; ++s) {
-      for (const auto& t : *ex->InitialTuples(s)) {
+      for (const auto& t : *model->InitialTuples(s)) {
         labels[static_cast<size_t>(s)].push_back(t[0] < 5.0 ? 1.0 : 0.0);
       }
     }
     Rng online_rng(99);
     EXPECT_TRUE(
-        ex->StartExploration(labels, Variant::kBasic, &online_rng).ok());
-    return ex;
+        session->StartExploration(labels, Variant::kBasic, &online_rng).ok());
+    return session;
   }
 
   std::vector<int64_t> AllRows() const {
@@ -371,13 +393,13 @@ TEST_F(ExplorerOnlineParallelTest, StartExplorationThreadCountInvariant) {
   // The per-subspace adaptation lanes read key-split RNG streams, so the
   // adapted models — observed through their predictions over the whole
   // table — must be bit-identical at 1, 2, and 4 threads.
-  const std::unique_ptr<Explorer> e1 = AdaptedExplorer(1);
+  const std::unique_ptr<ExplorationSession> e1 = AdaptedSession(1);
   const std::vector<int64_t> rows = AllRows();
   std::vector<double> p1;
   ASSERT_TRUE(e1->PredictRows(table_, rows, &p1).ok());
   ASSERT_EQ(p1.size(), rows.size());
   for (int64_t threads : {int64_t{2}, int64_t{4}}) {
-    const std::unique_ptr<Explorer> ex = AdaptedExplorer(threads);
+    const std::unique_ptr<ExplorationSession> ex = AdaptedSession(threads);
     std::vector<double> p;
     ASSERT_TRUE(ex->PredictRows(table_, rows, &p).ok());
     EXPECT_EQ(p, p1) << "threads=" << threads;
@@ -385,14 +407,14 @@ TEST_F(ExplorerOnlineParallelTest, StartExplorationThreadCountInvariant) {
 }
 
 TEST_F(ExplorerOnlineParallelTest, RetrieveMatchesThreadCountInvariant) {
-  const std::unique_ptr<Explorer> e1 = AdaptedExplorer(1);
+  const std::unique_ptr<ExplorationSession> e1 = AdaptedSession(1);
   std::vector<int64_t> sequential;
   ASSERT_TRUE(e1->RetrieveMatches(table_, -1, &sequential).ok());
   ASSERT_GT(sequential.size(), 3u);  // The labelling rule matches many rows.
   EXPECT_TRUE(std::is_sorted(sequential.begin(), sequential.end()));
   const int64_t limit = static_cast<int64_t>(sequential.size()) / 2;
   for (int64_t threads : {int64_t{2}, int64_t{4}}) {
-    const std::unique_ptr<Explorer> ex = AdaptedExplorer(threads);
+    const std::unique_ptr<ExplorationSession> ex = AdaptedSession(threads);
     std::vector<int64_t> parallel;
     ASSERT_TRUE(ex->RetrieveMatches(table_, -1, &parallel).ok());
     EXPECT_EQ(parallel, sequential) << "threads=" << threads;
@@ -406,7 +428,7 @@ TEST_F(ExplorerOnlineParallelTest, RetrieveMatchesThreadCountInvariant) {
 }
 
 TEST_F(ExplorerOnlineParallelTest, PredictRowsMatchesRowWisePredictRow) {
-  const std::unique_ptr<Explorer> ex = AdaptedExplorer(4);
+  const std::unique_ptr<ExplorationSession> ex = AdaptedSession(4);
   // Unordered, repeating row list: output must follow the input order.
   const std::vector<int64_t> rows = {17, 3, 3999, 0, 17, 1024, 512};
   std::vector<double> preds;
@@ -420,84 +442,100 @@ TEST_F(ExplorerOnlineParallelTest, PredictRowsMatchesRowWisePredictRow) {
 }
 
 TEST_F(ExplorerTest, QueryAccessorsReturnNullOnMisuse) {
-  Explorer ex(SmallExplorerOptions());
+  auto model = std::make_shared<ExplorationModel>(SmallExplorerOptions());
   // Before Pretrain every accessor reports "nothing there" instead of
   // aborting.
-  EXPECT_EQ(ex.subspace(0), nullptr);
-  EXPECT_EQ(ex.InitialTuples(0), nullptr);
-  EXPECT_EQ(ex.generator(0), nullptr);
-  EXPECT_FALSE(ex.PredictRow(table_.Row(0)).has_value());
-  EXPECT_FALSE(ex.PredictSubspace(0, {0.0, 0.0}).has_value());
+  EXPECT_EQ(model->subspace(0), nullptr);
+  EXPECT_EQ(model->InitialTuples(0), nullptr);
+  EXPECT_EQ(model->generator(0), nullptr);
+  {
+    // Scoped: a model must not be pretrained while a session is attached.
+    const ExplorationSession session(model);
+    EXPECT_FALSE(session.PredictRow(table_.Row(0)).has_value());
+    EXPECT_FALSE(session.PredictSubspace(0, {0.0, 0.0}).has_value());
+  }
 
   ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
-  EXPECT_NE(ex.subspace(0), nullptr);
-  EXPECT_NE(ex.InitialTuples(1), nullptr);
-  EXPECT_NE(ex.generator(1), nullptr);
-  EXPECT_EQ(ex.subspace(-1), nullptr);
-  EXPECT_EQ(ex.subspace(2), nullptr);
-  EXPECT_EQ(ex.InitialTuples(7), nullptr);
-  EXPECT_EQ(ex.generator(-3), nullptr);
+      model->Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get())
+          .ok());
+  EXPECT_NE(model->subspace(0), nullptr);
+  EXPECT_NE(model->InitialTuples(1), nullptr);
+  EXPECT_NE(model->generator(1), nullptr);
+  EXPECT_EQ(model->subspace(-1), nullptr);
+  EXPECT_EQ(model->subspace(2), nullptr);
+  EXPECT_EQ(model->InitialTuples(7), nullptr);
+  EXPECT_EQ(model->generator(-3), nullptr);
 }
 
 TEST_F(ExplorerTest, PredictionMisuseYieldsNullopt) {
-  Explorer ex(SmallExplorerOptions());
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+  const auto model = Pretrained(/*train_meta=*/false);
+  ASSERT_TRUE(model->pretrained());
+  ExplorationSession session(model);
   // Adapt only subspace 0.
   std::vector<std::vector<double>> labels(1);
-  labels[0].assign(ex.InitialTuples(0)->size(), 1.0);
-  ASSERT_TRUE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  labels[0].assign(model->InitialTuples(0)->size(), 1.0);
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
 
-  EXPECT_TRUE(ex.PredictSubspace(0, {0.5, 0.5}).has_value());
-  EXPECT_FALSE(ex.PredictSubspace(1, {0.5, 0.5}).has_value());  // Un-adapted.
-  EXPECT_FALSE(ex.PredictSubspace(-1, {0.5, 0.5}).has_value());
-  EXPECT_FALSE(ex.PredictSubspace(9, {0.5, 0.5}).has_value());
-  EXPECT_FALSE(ex.PredictSubspace(0, {0.5}).has_value());  // Width mismatch.
-  EXPECT_TRUE(ex.PredictRow(table_.Row(0)).has_value());
-  EXPECT_FALSE(ex.PredictRow({0.5}).has_value());  // Row too narrow.
+  EXPECT_TRUE(session.PredictSubspace(0, {0.5, 0.5}).has_value());
+  // Un-adapted.
+  EXPECT_FALSE(session.PredictSubspace(1, {0.5, 0.5}).has_value());
+  EXPECT_FALSE(session.PredictSubspace(-1, {0.5, 0.5}).has_value());
+  EXPECT_FALSE(session.PredictSubspace(9, {0.5, 0.5}).has_value());
+  // Width mismatch.
+  EXPECT_FALSE(session.PredictSubspace(0, {0.5}).has_value());
+  EXPECT_TRUE(session.PredictRow(table_.Row(0)).has_value());
+  EXPECT_FALSE(session.PredictRow({0.5}).has_value());  // Row too narrow.
 }
 
 TEST_F(ExplorerTest, BatchQueryMisuseYieldsStatus) {
-  Explorer ex(SmallExplorerOptions());
+  auto model = std::make_shared<ExplorationModel>(SmallExplorerOptions());
   std::vector<int64_t> matches;
   std::vector<double> preds;
   const std::vector<int64_t> rows = {0, 1, 2};
-  // Before StartExploration both batch entry points fail cleanly.
-  EXPECT_EQ(ex.RetrieveMatches(table_, -1, &matches).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ex.PredictRows(table_, rows, &preds).code(),
-            StatusCode::kFailedPrecondition);
+  {
+    // Before StartExploration both batch entry points fail cleanly. Scoped:
+    // a model must not be pretrained while a session is attached.
+    const ExplorationSession unstarted(model);
+    EXPECT_EQ(unstarted.RetrieveMatches(table_, -1, &matches).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(unstarted.PredictRows(table_, rows, &preds).code(),
+              StatusCode::kFailedPrecondition);
+  }
 
   ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get()).ok());
+      model->Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get())
+          .ok());
+  ExplorationSession session(model);
   std::vector<std::vector<double>> labels(2);
   for (int s = 0; s < 2; ++s) {
-    labels[static_cast<size_t>(s)].assign(ex.InitialTuples(s)->size(), 1.0);
+    labels[static_cast<size_t>(s)].assign(model->InitialTuples(s)->size(),
+                                          1.0);
   }
-  ASSERT_TRUE(ex.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
 
   // Out-of-range row indices.
   const std::vector<int64_t> negative = {-1};
   const std::vector<int64_t> past_end = {table_.num_rows()};
-  EXPECT_EQ(ex.PredictRows(table_, negative, &preds).code(),
+  EXPECT_EQ(session.PredictRows(table_, negative, &preds).code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(ex.PredictRows(table_, past_end, &preds).code(),
+  EXPECT_EQ(session.PredictRows(table_, past_end, &preds).code(),
             StatusCode::kOutOfRange);
   // A table narrower than the active subspaces' attributes.
   const data::Table narrow = table_.Project({0, 1});
-  EXPECT_EQ(ex.RetrieveMatches(narrow, -1, &matches).code(),
+  EXPECT_EQ(session.RetrieveMatches(narrow, -1, &matches).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ex.PredictRows(narrow, rows, &preds).code(),
+  EXPECT_EQ(session.PredictRows(narrow, rows, &preds).code(),
             StatusCode::kInvalidArgument);
 
   // SuggestTuples misuse: un-adapted subspace, bad k, bad candidate width.
   std::vector<int64_t> picked;
-  EXPECT_EQ(ex.SuggestTuples(5, {{0.5, 0.5}}, 1, &picked).code(),
+  EXPECT_EQ(session.SuggestTuples(5, {{0.5, 0.5}}, 1, &picked).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ex.SuggestTuples(0, {{0.5, 0.5}}, -1, &picked).code(),
+  EXPECT_EQ(session.SuggestTuples(0, {{0.5, 0.5}}, -1, &picked).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ex.SuggestTuples(0, {{0.5, 0.5, 0.5}}, 1, &picked).code(),
+  EXPECT_EQ(session.SuggestTuples(0, {{0.5, 0.5, 0.5}}, 1, &picked).code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -1,10 +1,11 @@
 // Robustness of model loading against damaged files: every truncation of a
 // valid model must produce a clean Status error, never a crash or a
-// half-initialized Explorer.
+// half-initialized model.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "core/lte.h"
@@ -28,13 +29,18 @@ class ModelRobustnessTest : public ::testing::Test {
     opt.num_meta_tasks = 10;
     opt.trainer.epochs = 1;
     opt.trainer.local_steps = 1;
-    core::Explorer explorer(opt);
-    ASSERT_TRUE(explorer
+    core::ExplorationModel model(opt);
+    ASSERT_TRUE(model
                     .Pretrain(table, {data::Subspace{{0, 1}}},
                               /*train_meta=*/true, &rng)
                     .ok());
-    path_ = testing::TempDir() + "/robustness.ltemodel";
-    ASSERT_TRUE(explorer.Save(path_).ok());
+    // Per-test file names: CTest runs these tests as concurrent processes,
+    // and one test's SetUp must not rewrite a file another test is loading.
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = testing::TempDir() + "/robustness_" + name + ".ltemodel";
+    truncated_path_ = testing::TempDir() + "/truncated_" + name + ".ltemodel";
+    ASSERT_TRUE(model.Save(path_).ok());
 
     std::ifstream in(path_, std::ios::binary);
     std::ostringstream buf;
@@ -48,17 +54,16 @@ class ModelRobustnessTest : public ::testing::Test {
     out.write(bytes_.data(), static_cast<std::streamsize>(n));
   }
 
-  std::string truncated_path() const {
-    return testing::TempDir() + "/truncated.ltemodel";
-  }
+  const std::string& truncated_path() const { return truncated_path_; }
 
   std::string path_;
+  std::string truncated_path_;
   std::string bytes_;
 };
 
 TEST_F(ModelRobustnessTest, FullFileLoads) {
-  core::Explorer ex(core::ExplorerOptions{});
-  EXPECT_TRUE(ex.LoadModel(path_).ok());
+  core::ExplorationModel model(core::ExplorerOptions{});
+  EXPECT_TRUE(model.Load(path_).ok());
 }
 
 TEST_F(ModelRobustnessTest, EveryTruncationFailsCleanly) {
@@ -71,8 +76,8 @@ TEST_F(ModelRobustnessTest, EveryTruncationFailsCleanly) {
   for (size_t cut : cuts) {
     if (cut >= bytes_.size()) continue;
     WriteTruncated(cut);
-    core::Explorer ex(core::ExplorerOptions{});
-    const Status s = ex.LoadModel(truncated_path());
+    core::ExplorationModel model(core::ExplorerOptions{});
+    const Status s = model.Load(truncated_path());
     EXPECT_FALSE(s.ok()) << "truncation at byte " << cut
                          << " unexpectedly loaded";
   }
@@ -84,30 +89,34 @@ TEST_F(ModelRobustnessTest, CorruptedMagicRejected) {
   std::ofstream out(truncated_path(), std::ios::binary);
   out.write(corrupted.data(), static_cast<std::streamsize>(corrupted.size()));
   out.close();
-  core::Explorer ex(core::ExplorerOptions{});
-  const Status s = ex.LoadModel(truncated_path());
+  core::ExplorationModel model(core::ExplorerOptions{});
+  const Status s = model.Load(truncated_path());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ModelRobustnessTest, FailedLoadLeavesExplorerUnusable) {
   WriteTruncated(bytes_.size() / 2);
-  core::Explorer ex(core::ExplorerOptions{});
-  ASSERT_FALSE(ex.LoadModel(truncated_path()).ok());
-  // The failed load must not report a pretrained explorer.
-  EXPECT_EQ(ex.StartExploration({{1.0}}, core::Variant::kBasic, nullptr).code(),
-            StatusCode::kFailedPrecondition);
+  auto model =
+      std::make_shared<core::ExplorationModel>(core::ExplorerOptions{});
+  ASSERT_FALSE(model->Load(truncated_path()).ok());
+  // The failed load must not report a pretrained model.
+  EXPECT_FALSE(model->pretrained());
+  core::ExplorationSession session(model);
+  EXPECT_EQ(
+      session.StartExploration({{1.0}}, core::Variant::kBasic, nullptr).code(),
+      StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ModelRobustnessTest, FailedLoadPreservesPreviousModel) {
-  core::Explorer ex(core::ExplorerOptions{});
-  ASSERT_TRUE(ex.LoadModel(path_).ok());
-  ASSERT_NE(ex.InitialTuples(0), nullptr);
-  const std::vector<std::vector<double>> initial = *ex.InitialTuples(0);
+  core::ExplorationModel model(core::ExplorerOptions{});
+  ASSERT_TRUE(model.Load(path_).ok());
+  ASSERT_NE(model.InitialTuples(0), nullptr);
+  const std::vector<std::vector<double>> initial = *model.InitialTuples(0);
   WriteTruncated(bytes_.size() / 3);
-  ASSERT_FALSE(ex.LoadModel(truncated_path()).ok());
+  ASSERT_FALSE(model.Load(truncated_path()).ok());
   // A failed re-load must not clobber the previously loaded model.
-  ASSERT_NE(ex.InitialTuples(0), nullptr);
-  EXPECT_EQ(*ex.InitialTuples(0), initial);
+  ASSERT_NE(model.InitialTuples(0), nullptr);
+  EXPECT_EQ(*model.InitialTuples(0), initial);
 }
 
 }  // namespace

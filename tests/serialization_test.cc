@@ -1,9 +1,12 @@
 // Round-trip tests of the model-persistence layer, from the binary I/O
-// primitives up to a full pre-trained Explorer.
+// primitives up to a full pre-trained ExplorationModel.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 
 #include "common/binary_io.h"
@@ -62,6 +65,49 @@ TEST(BinaryIoTest, TruncatedStreamFails) {
   BinaryReader r(&buf);
   std::vector<double> v;
   EXPECT_EQ(r.ReadDoubleVector(&v).code(), StatusCode::kIoError);
+}
+
+// A corrupt length prefix claiming 2^24 elements, followed by only one
+// element's worth of bytes: every reader must fail cleanly without first
+// allocating the declared length.
+TEST(BinaryIoTest, CorruptLengthFailsWithBoundedAllocation) {
+  constexpr uint64_t kClaimed = uint64_t{1} << 24;
+  std::ostringstream out;
+  BinaryWriter w(&out);
+  w.WriteU64(kClaimed);
+  w.WriteU64(0);
+  const std::string bytes = out.str();
+  ASSERT_EQ(bytes.size(), 16u);
+  constexpr size_t kBound = kClaimed / 8;
+
+  {
+    std::istringstream in(bytes);
+    BinaryReader r(&in);
+    std::vector<double> v;
+    EXPECT_EQ(r.ReadDoubleVector(&v).code(), StatusCode::kIoError);
+    EXPECT_LT(v.capacity(), kBound);
+  }
+  {
+    std::istringstream in(bytes);
+    BinaryReader r(&in);
+    std::vector<int64_t> v;
+    EXPECT_EQ(r.ReadI64Vector(&v).code(), StatusCode::kIoError);
+    EXPECT_LT(v.capacity(), kBound);
+  }
+  {
+    std::istringstream in(bytes);
+    BinaryReader r(&in);
+    std::string str;
+    EXPECT_EQ(r.ReadString(&str).code(), StatusCode::kIoError);
+    EXPECT_LT(str.capacity(), kBound);
+  }
+  {
+    std::istringstream in(bytes);
+    BinaryReader r(&in);
+    std::vector<std::vector<double>> points;
+    EXPECT_EQ(r.ReadPointSet(&points).code(), StatusCode::kIoError);
+    EXPECT_LT(points.capacity(), kBound);
+  }
 }
 
 TEST(SerializationTest, MatrixRoundTrip) {
@@ -138,9 +184,7 @@ TEST(SerializationTest, MetaLearnerRoundTripPreservesPredictions) {
   EXPECT_EQ(learner.Attention(v_r), loaded->Attention(v_r));
 }
 
-TEST(SerializationTest, ExplorerRoundTripPreservesExploration) {
-  Rng rng(5);
-  data::Table table = data::MakeBlobs(3000, 4, 4, &rng);
+core::ExplorerOptions SmallModelOptions() {
   core::ExplorerOptions opt;
   opt.task_gen.k_u = 30;
   opt.task_gen.k_s = 10;
@@ -151,114 +195,84 @@ TEST(SerializationTest, ExplorerRoundTripPreservesExploration) {
   opt.num_meta_tasks = 25;
   opt.trainer.epochs = 3;
   opt.trainer.local_steps = 3;
+  return opt;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(SerializationTest, ExplorerRoundTripPreservesExploration) {
+  Rng rng(5);
+  data::Table table = data::MakeBlobs(3000, 4, 4, &rng);
   std::vector<data::Subspace> subspaces = {data::Subspace{{0, 1}},
                                            data::Subspace{{2, 3}}};
-  core::Explorer original(opt);
+  auto original =
+      std::make_shared<core::ExplorationModel>(SmallModelOptions());
   ASSERT_TRUE(
-      original.Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok());
+      original->Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok());
 
   const std::string path = testing::TempDir() + "/explorer.ltemodel";
-  ASSERT_TRUE(original.Save(path).ok());
+  ASSERT_TRUE(original->Save(path).ok());
 
-  core::Explorer restored(core::ExplorerOptions{});
-  ASSERT_TRUE(restored.LoadModel(path).ok());
-  EXPECT_EQ(restored.num_subspaces(), 2);
-  EXPECT_TRUE(restored.meta_trained());
-  EXPECT_EQ(*restored.InitialTuples(0), *original.InitialTuples(0));
-  EXPECT_EQ(*restored.InitialTuples(1), *original.InitialTuples(1));
+  auto restored =
+      std::make_shared<core::ExplorationModel>(core::ExplorerOptions{});
+  ASSERT_TRUE(restored->Load(path).ok());
+  EXPECT_EQ(restored->num_subspaces(), 2);
+  EXPECT_TRUE(restored->meta_trained());
+  EXPECT_EQ(*restored->InitialTuples(0), *original->InitialTuples(0));
+  EXPECT_EQ(*restored->InitialTuples(1), *original->InitialTuples(1));
 
   // Both adapt with identical labels and rngs and must agree exactly.
   std::vector<std::vector<double>> labels(2);
   for (int s = 0; s < 2; ++s) {
-    for (const auto& t : *original.InitialTuples(s)) {
+    for (const auto& t : *original->InitialTuples(s)) {
       labels[static_cast<size_t>(s)].push_back(t[0] < 5.0 ? 1.0 : 0.0);
     }
   }
+  core::ExplorationSession session_a(original);
+  core::ExplorationSession session_b(restored);
   Rng rng_a(99);
   Rng rng_b(99);
   ASSERT_TRUE(
-      original.StartExploration(labels, core::Variant::kMetaStar, &rng_a)
+      session_a.StartExploration(labels, core::Variant::kMetaStar, &rng_a)
           .ok());
   ASSERT_TRUE(
-      restored.StartExploration(labels, core::Variant::kMetaStar, &rng_b)
+      session_b.StartExploration(labels, core::Variant::kMetaStar, &rng_b)
           .ok());
   for (int64_t r = 0; r < 50; ++r) {
-    EXPECT_EQ(original.PredictRow(table.Row(r)).value_or(-1.0),
-              restored.PredictRow(table.Row(r)).value_or(-2.0));
+    EXPECT_EQ(session_a.PredictRow(table.Row(r)).value_or(-1.0),
+              session_b.PredictRow(table.Row(r)).value_or(-2.0));
   }
 }
 
-// The legacy facade surface (Explorer::Save / LoadModel) and the bare
-// ExplorationModel::Save / Load share one on-disk format: files written by
-// either side load on the other with identical downstream behavior.
-TEST(SerializationTest, FacadeAndModelFormatsAreInterchangeable) {
+// Save → Load → Save reproduces the original bytes exactly: the format has
+// no lossy fields.
+TEST(SerializationTest, ModelSaveLoadSaveIsByteIdentical) {
   Rng rng(6);
   data::Table table = data::MakeBlobs(3000, 4, 4, &rng);
-  core::ExplorerOptions opt;
-  opt.task_gen.k_u = 30;
-  opt.task_gen.k_s = 10;
-  opt.task_gen.k_q = 30;
-  opt.learner.embedding_size = 12;
-  opt.learner.clf_hidden = {12};
-  opt.learner.num_memory_modes = 3;
-  opt.num_meta_tasks = 25;
-  opt.trainer.epochs = 3;
-  opt.trainer.local_steps = 3;
   std::vector<data::Subspace> subspaces = {data::Subspace{{0, 1}},
                                            data::Subspace{{2, 3}}};
-  core::Explorer facade(opt);
+  core::ExplorationModel trained(SmallModelOptions());
   ASSERT_TRUE(
-      facade.Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok());
+      trained.Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok());
+  const std::string first_path = testing::TempDir() + "/first.ltemodel";
+  ASSERT_TRUE(trained.Save(first_path).ok());
 
-  // Facade-written file → bare model.
-  const std::string facade_path = testing::TempDir() + "/facade.ltemodel";
-  ASSERT_TRUE(facade.Save(facade_path).ok());
-  auto model = std::make_shared<core::ExplorationModel>(core::ExplorerOptions{});
-  ASSERT_TRUE(model->Load(facade_path).ok());
-  EXPECT_TRUE(model->meta_trained());
-  ASSERT_EQ(model->num_subspaces(), 2);
-  EXPECT_EQ(*model->InitialTuples(0), *facade.InitialTuples(0));
+  core::ExplorationModel loaded(core::ExplorerOptions{});
+  ASSERT_TRUE(loaded.Load(first_path).ok());
+  EXPECT_TRUE(loaded.meta_trained());
+  ASSERT_EQ(loaded.num_subspaces(), 2);
+  EXPECT_EQ(*loaded.InitialTuples(0), *trained.InitialTuples(0));
+  EXPECT_EQ(loaded.fingerprint(), trained.fingerprint());
 
-  // Model-written file → facade. Saving the just-loaded model must
-  // reproduce the original bytes exactly (same format, no lossy fields).
-  const std::string model_path = testing::TempDir() + "/model.ltemodel";
-  ASSERT_TRUE(model->Save(model_path).ok());
-  std::ifstream in_a(facade_path, std::ios::binary);
-  std::ifstream in_b(model_path, std::ios::binary);
-  const std::string bytes_a((std::istreambuf_iterator<char>(in_a)),
-                            std::istreambuf_iterator<char>());
-  const std::string bytes_b((std::istreambuf_iterator<char>(in_b)),
-                            std::istreambuf_iterator<char>());
-  ASSERT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, bytes_b);
-
-  core::Explorer restored(core::ExplorerOptions{});
-  ASSERT_TRUE(restored.LoadModel(model_path).ok());
-
-  // All three adapt with identical labels and rngs and must agree exactly.
-  std::vector<std::vector<double>> labels(2);
-  for (int s = 0; s < 2; ++s) {
-    for (const auto& t : *facade.InitialTuples(s)) {
-      labels[static_cast<size_t>(s)].push_back(t[0] < 5.0 ? 1.0 : 0.0);
-    }
-  }
-  Rng rng_a(99);
-  Rng rng_b(99);
-  Rng rng_c(99);
-  core::ExplorationSession session(model);
-  ASSERT_TRUE(
-      facade.StartExploration(labels, core::Variant::kMetaStar, &rng_a).ok());
-  ASSERT_TRUE(
-      session.StartExploration(labels, core::Variant::kMetaStar, &rng_b)
-          .ok());
-  ASSERT_TRUE(
-      restored.StartExploration(labels, core::Variant::kMetaStar, &rng_c)
-          .ok());
-  for (int64_t r = 0; r < 50; ++r) {
-    const double truth = facade.PredictRow(table.Row(r)).value_or(-1.0);
-    EXPECT_EQ(truth, session.PredictRow(table.Row(r)).value_or(-2.0));
-    EXPECT_EQ(truth, restored.PredictRow(table.Row(r)).value_or(-3.0));
-  }
+  const std::string second_path = testing::TempDir() + "/second.ltemodel";
+  ASSERT_TRUE(loaded.Save(second_path).ok());
+  const std::string first = ReadFileBytes(first_path);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, ReadFileBytes(second_path));
 }
 
 TEST(SerializationTest, ModelLoadPreservesConstructedThreadKnob) {
@@ -298,21 +312,47 @@ TEST(SerializationTest, LoadRejectsGarbage) {
   std::ofstream out(path, std::ios::binary);
   out << "this is not a model";
   out.close();
-  core::Explorer ex(core::ExplorerOptions{});
-  const Status s = ex.LoadModel(path);
+  core::ExplorationModel model(core::ExplorerOptions{});
+  const Status s = model.Load(path);
   EXPECT_FALSE(s.ok());
 }
 
 TEST(SerializationTest, LoadRejectsMissingFile) {
-  core::Explorer ex(core::ExplorerOptions{});
-  EXPECT_EQ(ex.LoadModel("/nonexistent/dir/model.bin").code(),
+  core::ExplorationModel model(core::ExplorerOptions{});
+  EXPECT_EQ(model.Load("/nonexistent/dir/model.bin").code(),
             StatusCode::kIoError);
 }
 
 TEST(SerializationTest, SaveBeforePretrainFails) {
-  core::Explorer ex(core::ExplorerOptions{});
-  EXPECT_EQ(ex.Save(testing::TempDir() + "/x.ltemodel").code(),
+  core::ExplorationModel model(core::ExplorerOptions{});
+  EXPECT_EQ(model.Save(testing::TempDir() + "/x.ltemodel").code(),
             StatusCode::kFailedPrecondition);
+}
+
+// /dev/full accepts the open and every buffered write, then fails the
+// flush with ENOSPC: a model small enough to sit in the stream buffer
+// must still report the failure instead of OK.
+TEST(SerializationTest, SaveReportsFailedFinalFlush) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  Rng rng(8);
+  const data::Table table = data::MakeBlobs(200, 1, 2, &rng);
+  core::ExplorerOptions opt;
+  opt.task_gen.k_u = 4;
+  opt.task_gen.k_s = 2;
+  opt.task_gen.k_q = 4;
+  opt.task_gen.delta = 1;
+  opt.encoder.mode = preprocess::EncodingMode::kMinMaxOnly;
+  core::ExplorationModel model(opt);
+  ASSERT_TRUE(model
+                  .Pretrain(table, {data::Subspace{{0}}},
+                            /*train_meta=*/false, &rng)
+                  .ok());
+  std::ostringstream bytes;
+  ASSERT_TRUE(model.SaveToStream(&bytes).ok());
+  ASSERT_LT(bytes.str().size(), 4096u) << "must fit in the stream buffer";
+  EXPECT_EQ(model.Save("/dev/full").code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 //    across the header + model stamp return an error Status — never a crash,
 //    never a silent load (runs under the ASan/UBSan CI job).
 //  * Model mismatch: a session saved against model A refuses to load against
-//    model B (FailedPrecondition, both fingerprints in the message),
-//    including through the legacy Explorer facade.
+//    model B (FailedPrecondition, both fingerprints in the message).
+//  * Write failures: a save whose final flush fails reports IoError.
 //
 // Saved streams carry configured stateful exploration policies (tau-first +
 // bootstrap), so the round-trip and corruption batteries exercise the
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <numeric>
@@ -26,7 +27,6 @@
 
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
-#include "core/explorer.h"
 #include "data/synthetic.h"
 
 namespace lte::core {
@@ -390,48 +390,6 @@ TEST_F(SessionPersistenceTest, ModelMismatchRefusesLoad) {
   EXPECT_TRUE(on_reloaded.Load(path).ok());
 }
 
-// The legacy Explorer facade exposes the same persistence surface and the
-// same stale-session protection.
-TEST_F(SessionPersistenceTest, ExplorerFacadeSaveLoadAndMismatch) {
-  Explorer ex(SmallExplorerOptions());
-  Rng rng(23);
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/true, &rng).ok());
-  ex.mutable_session()->SeedRng(9);
-  ASSERT_TRUE(ex.StartExploration(UserLabels(0), Variant::kMetaStar,
-                                  ex.mutable_session()->session_rng())
-                  .ok());
-  const std::string path = ::testing::TempDir() + "/facade.ltesession";
-  ASSERT_TRUE(ex.SaveSession(path).ok());
-
-  // Same pretraining stream => same fingerprint => the session transfers.
-  Explorer same(SmallExplorerOptions());
-  Rng same_rng(23);
-  ASSERT_TRUE(
-      same.Pretrain(table_, subspaces_, /*train_meta=*/true, &same_rng).ok());
-  ASSERT_EQ(same.model().fingerprint(), ex.model().fingerprint());
-  ASSERT_TRUE(same.LoadSession(path).ok());
-  std::vector<int64_t> expected;
-  std::vector<int64_t> restored;
-  ASSERT_TRUE(ex.RetrieveMatches(table_, -1, &expected).ok());
-  ASSERT_TRUE(same.RetrieveMatches(table_, -1, &restored).ok());
-  EXPECT_EQ(expected, restored);
-
-  // Refreshed facade model => FailedPrecondition with both fingerprints.
-  Explorer refreshed(SmallExplorerOptions());
-  Rng refreshed_rng(24);
-  ASSERT_TRUE(refreshed
-                  .Pretrain(table_, subspaces_, /*train_meta=*/true,
-                            &refreshed_rng)
-                  .ok());
-  const Status st = refreshed.LoadSession(path);
-  ASSERT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.message().find(HexU64(ex.model().fingerprint())),
-            std::string::npos);
-  EXPECT_NE(st.message().find(HexU64(refreshed.model().fingerprint())),
-            std::string::npos);
-}
-
 // An unstarted session (rng only) round-trips, and the restored rng
 // continues the stream draw-for-draw.
 TEST_F(SessionPersistenceTest, UnstartedSessionRoundTripsWithRng) {
@@ -450,6 +408,21 @@ TEST_F(SessionPersistenceTest, UnstartedSessionRoundTripsWithRng) {
     EXPECT_EQ(session.session_rng()->engine()(),
               restored.session_rng()->engine()());
   }
+}
+
+// /dev/full accepts the open and every buffered write, then fails the
+// flush with ENOSPC. An unstarted session's checkpoint fits in the stream
+// buffer, so only the final flush can report the failure — and Save must
+// not return OK for a checkpoint that never reached the file.
+TEST_F(SessionPersistenceTest, SaveReportsFailedFinalFlush) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  ExplorationSession session(model_, 1);
+  std::ostringstream bytes(std::ios::binary);
+  ASSERT_TRUE(session.SaveToStream(&bytes).ok());
+  ASSERT_LT(bytes.str().size(), 4096u) << "must fit in the stream buffer";
+  EXPECT_EQ(session.Save("/dev/full").code(), StatusCode::kIoError);
 }
 
 }  // namespace
